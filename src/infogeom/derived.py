@@ -7,10 +7,18 @@ materialized here (a small index-product helper is provided for n <= 3
 cross-checks). Convolution growth is family dependent, so an explicit
 support cap turns blowup into :class:`SupportBlowupError` instead of a
 silent approximation.
+
+``nef_distribution`` memoizes: the doubling blocks ``Q_1^{*2^j}`` and every
+finished ``Q_n`` of the most recent (family, theta, support cap) are kept
+and reused, and a request for another key releases them before building
+anything. Each ``Q_n`` is composed in the same convolution order as a cold
+build, so a reused result is bitwise identical to a fresh one; measures are
+immutable, so the function stays observably pure.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,29 +110,62 @@ def nef_base(family: ExpFamily, theta) -> FiniteMeasure:
     return FiniteMeasure(family.stat_values, density_weights(family, theta))
 
 
+class _QnLadder:
+    """Q_n builds of one (family, theta, support cap): doubling blocks and results."""
+
+    def __init__(self, family: ExpFamily, theta, theta_key: bytes, support_cap: int):
+        self.family = family
+        self.theta_key = theta_key
+        self.support_cap = support_cap
+        q1 = nef_base(family, theta)
+        self.blocks = [q1]  # blocks[j] is Q_1^{*2^j}, grown on demand
+        self.finished = {1: q1}
+
+    def serves(self, family: ExpFamily, theta_key: bytes, support_cap: int) -> bool:
+        return self.family is family and self.theta_key == theta_key and self.support_cap == support_cap
+
+    def _block(self, j: int) -> FiniteMeasure:
+        while len(self.blocks) <= j:
+            last = self.blocks[-1]
+            self.blocks.append(convolve(last, last, self.support_cap))
+        return self.blocks[j]
+
+    def get(self, n: int) -> FiniteMeasure:
+        qn = self.finished.get(n)
+        if qn is None:
+            total = None
+            j, k = 0, n
+            while k:
+                if k & 1:
+                    block = self._block(j)
+                    total = block if total is None else convolve(total, block, self.support_cap)
+                j, k = j + 1, k >> 1
+            qn = self.finished[n] = FiniteMeasure(total.points / n, total.weights)
+        return qn
+
+
+_ladder = None  # the one live _QnLadder, read and replaced under _ladder_lock
+_ladder_lock = threading.Lock()
+
+
 def nef_distribution(family: ExpFamily, theta, n: int, support_cap: int = SUPPORT_CAP) -> FiniteMeasure:
     """Q_n, the distribution of the mean of n IID draws from Q_1.
 
     The n-fold sum is built by exact pairwise convolutions (organized as
     binary exponentiation, which composes the same pairwise convolutions in
-    a different order) and the support is then scaled by 1/n.
+    a different order) and the support is then scaled by 1/n. Builds are
+    shared per (family, theta, support_cap); see the module docstring.
     """
+    global _ladder
     n = int(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    q1 = nef_base(family, theta)
-    if n == 1:
-        return q1
-    total = None
-    block = q1
-    k = n
-    while k:
-        if k & 1:
-            total = block if total is None else convolve(total, block, support_cap)
-        k >>= 1
-        if k:
-            block = convolve(block, block, support_cap)
-    return FiniteMeasure(total.points / n, total.weights)
+    theta_key = np.asarray(theta, dtype=float).reshape(-1).tobytes()
+    with _ladder_lock:
+        if _ladder is None or not _ladder.serves(family, theta_key, support_cap):
+            _ladder = None  # release the previous theta's builds before building
+            _ladder = _QnLadder(family, theta, theta_key, support_cap)
+        return _ladder.get(n)
 
 
 def _tangent_weights(qn: FiniteMeasure, tau: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
@@ -162,6 +203,12 @@ def iid_fisher(family: ExpFamily, theta, n: int) -> np.ndarray:
     return n * cov_statistic(family, theta)
 
 
+def product_index(size: int, n: int) -> np.ndarray:
+    """All index tuples of {0..size-1}^n as a (size^n, n) array, last index fastest."""
+    grids = np.meshgrid(*([np.arange(size)] * n), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def iid_product(p: FiniteMeasure, n: int, max_points: int = SUPPORT_CAP) -> FiniteMeasure:
     """Product measure P^n on R^{n m}, materialized (intended for n <= 3)."""
     n = int(n)
@@ -169,10 +216,7 @@ def iid_product(p: FiniteMeasure, n: int, max_points: int = SUPPORT_CAP) -> Fini
         raise ValueError("n must be a positive integer")
     if p.size ** n > max_points:
         raise SupportBlowupError(f"product support {p.size}^{n} exceeds {max_points}")
-    idx = np.stack(
-        [g.ravel() for g in np.meshgrid(*([np.arange(p.size)] * n), indexing="ij")],
-        axis=1,
-    )
+    idx = product_index(p.size, n)
     pts = p.points[idx].reshape(idx.shape[0], n * p.dim)
     wts = p.weights[idx].prod(axis=1)
     return FiniteMeasure(pts, wts)

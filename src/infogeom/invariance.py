@@ -29,6 +29,7 @@ from .derived import (
     iid_fisher,
     nef_distribution,
     nef_tangent,
+    product_index,
     standardizing_map,
     sym_sqrt,
 )
@@ -98,10 +99,7 @@ def _product_score_form(family: ExpFamily, theta, a, b, n: int) -> Optional[floa
         return None
     dw = density_weights(family, theta)
     tau = mean_statistic(family, theta)
-    idx = np.stack(
-        [g.ravel() for g in np.meshgrid(*([np.arange(family.base.size)] * n), indexing="ij")],
-        axis=1,
-    )
+    idx = product_index(family.base.size, n)
     weights = dw[idx].prod(axis=1)
     t_bar = family.stat_values[idx].mean(axis=1)
     sa = (t_bar - tau) @ np.asarray(a, dtype=float)

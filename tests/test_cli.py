@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import infogeom.derived as derived
 from infogeom.cli import main
 
 
@@ -164,3 +165,25 @@ def test_rows_sorted_deterministically(capsys):
     rows = _rows(out)
     keys = [(r["family"], r["theta"], int(r["n"]), r["quantity"]) for r in rows]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "argv, convolutions",
+    [
+        (["invariance", "--family", "poisson_trunc", "--n", "1,2,4,8"], 15),
+        (["clt", "--family", "binomial", "--n", "1,4,16,64"], 30),
+        (["tensor", "--family", "bernoulli", "--n", "1,2,3,4"], 15),
+    ],
+)
+def test_q_n_builds_are_shared_within_theta(monkeypatch, tmp_path, argv, convolutions):
+    # one doubling ladder per theta: every block and every Q_n is convolved once
+    calls = []
+    original = derived.convolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(derived, "convolve", counting)
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) in (0, 2)
+    assert len(calls) == convolutions

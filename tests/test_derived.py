@@ -1,3 +1,7 @@
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,14 @@ from infogeom.derived import (
     sym_sqrt,
 )
 from infogeom.errors import RankError, SupportBlowupError
-from infogeom.expfam import TangentCoord, cov_statistic, density_measure, mean_statistic
+from infogeom.expfam import (
+    TangentCoord,
+    affine_transform_statistic,
+    cov_statistic,
+    density_measure,
+    make_family,
+    mean_statistic,
+)
 from infogeom.measures import FiniteMeasure, almost_equal, moments, push_forward, quantize, radon_nikodym
 
 
@@ -84,6 +95,88 @@ def test_nef_distribution_moments_quadrature(quadrature_families):
 def test_nef_distribution_support_cap(families):
     with pytest.raises(SupportBlowupError):
         nef_distribution(families["bernoulli"], 0.0, 64, support_cap=10)
+    # a Q_64 already built at the default cap must not leak into a smaller cap
+    nef_distribution(families["bernoulli"], 0.0, 64)
+    with pytest.raises(SupportBlowupError):
+        nef_distribution(families["bernoulli"], 0.0, 64, support_cap=10)
+
+
+def _bitwise_equal(p, q):
+    return np.array_equal(p.points, q.points) and np.array_equal(p.weights, q.weights)
+
+
+def _cold(family, theta, n):
+    """Q_n built from nothing: a request at another theta drops every reusable build."""
+    assert not np.array_equal(np.ravel(theta), family.theta_grid[0])
+    nef_distribution(family, family.theta_grid[0], 1)
+    return nef_distribution(family, theta, n)
+
+
+@pytest.mark.parametrize("key", ["gauss_known_var", "bernoulli"])
+def test_nef_distribution_reuse_is_bitwise_cold(families, key):
+    f = families[key]
+    theta = f.theta_grid[2]
+    order = (5, 1, 8, 3, 2, 4) if key == "bernoulli" else (3, 1, 2)
+    warm = {n: nef_distribution(f, theta, n) for n in order}
+    assert all(nef_distribution(f, theta, n) is warm[n] for n in order)
+    for n in order:
+        assert _bitwise_equal(warm[n], _cold(f, theta, n))
+
+
+def test_nef_distribution_separates_family_objects():
+    f1, f2 = make_family("binomial"), make_family("binomial")
+    assert f1.name == f2.name
+    q = nef_distribution(f1, 0.0, 4)
+    assert nef_distribution(f2, 0.0, 4) is not q
+    image = affine_transform_statistic(f1, [[2.0]], [1.0], name=f1.name)
+    moved = nef_distribution(image, 0.0, 4)
+    assert moved.points.min() == 1.0 and moved.points.max() == 9.0
+    assert q.points.min() == 0.0 and q.points.max() == 4.0
+
+
+def test_nef_distribution_copies_theta(families):
+    f = families["poisson_trunc"]
+    theta = np.array([0.5])
+    q2 = nef_distribution(f, theta, 2)
+    theta[0] = -0.5
+    after = nef_distribution(f, theta, 2)
+    assert after is not q2
+    assert _bitwise_equal(after, _cold(f, [-0.5], 2))
+
+
+def test_nef_distribution_keeps_one_theta(families):
+    f = families["binomial"]
+    ref = weakref.ref(nef_distribution(f, f.theta_grid[1], 8))
+    assert ref() is not None
+    nef_distribution(f, f.theta_grid[2], 8)
+    assert ref() is None
+
+
+def test_nef_distribution_threads_get_their_own_theta(families):
+    # concurrent requests at alternating theta must each get their own Q_n
+    f = families["poisson_trunc"]
+    thetas = (f.theta_grid[1], f.theta_grid[3])
+    expected = [_cold(f, theta, 6) for theta in thetas]
+    wrong = []
+
+    def worker(i):
+        for step in range(20):
+            which = (i + step) % 2
+            if not _bitwise_equal(nef_distribution(f, thetas[which], 6), expected[which]):
+                wrong.append((i, step))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_nef_tangent_examples(families):
