@@ -6,15 +6,21 @@ route), ``invariance`` (axiom residual CSV), ``clt`` (convergence table),
 and candidate-functional residuals).
 
 Every CSV row carries: family, theta (semicolon-joined), n, quantity, value,
-tolerance, pass. Reals are written with 17 significant digits so repeated
-runs with the same configuration and seed are byte-identical. Exit codes:
-0 all checks passed, 1 usage error, 2 at least one failed check. Progress
-and warnings go to standard error.
+tolerance, pass. A row with a tolerance passes when value <= tolerance; a row
+without one is informational and always passes; a check that raised is a row
+with value NaN that fails. Reals are written with 17 significant digits so
+repeated runs with the same configuration and seed are byte-identical.
+
+Exit codes: 0 every row passed, 1 usage error, 2 at least one row has
+pass=false. The run ends with one standard-error line counting the rows that
+pass, fail and have an undefined (NaN) value, e.g. an exponent at a theta
+where the cumulant it divides by vanishes; an undefined informational row
+still passes. Progress and warnings go to standard error.
 
 Configuration files are INI-style ``key = value`` lines (``#`` comments,
-no sections); command-line flags override file values. Recognized keys:
-family, params, theta, n, route, tol, seed, out, theta_lo, theta_hi, k,
-cap, trials. ``family``/``params``/``theta_lo``/``theta_hi`` define the
+no sections); command-line flags override file values. The recognized keys
+are those of ``_OPTIONS``, each also a flag (``theta_lo`` is
+``--theta-lo``). ``family``/``params``/``theta_lo``/``theta_hi`` define the
 family, the rest configure the run.
 """
 
@@ -33,21 +39,23 @@ from . import derived, geometry, invariance, tensors
 from .errors import InfoGeomError
 from .expfam import ExpFamily, TangentCoord, builtin_families, fisher_information, make_family
 
-_CONFIG_KEYS = {
-    "family",
-    "params",
-    "theta",
-    "n",
-    "route",
-    "tol",
-    "seed",
-    "out",
-    "theta_lo",
-    "theta_hi",
-    "k",
-    "cap",
-    "trials",
+# every settable key: a config-file key and a flag of each command but families
+_OPTIONS = {
+    "family": "registered family name",
+    "params": "family parameters, e.g. m=4",
+    "theta": "theta values: 'grid' or comma-separated ;-joined vectors",
+    "n": "ascending comma-separated extension sizes",
+    "route": "fisher route: A, B, C or all",
+    "tol": "tolerance overrides: value or key=value[,key=value...]",
+    "seed": "seed for random tangent sampling",
+    "out": "CSV output path (default stdout)",
+    "cap": "convolution support cap",
+    "k": "tensor order (tensor command)",
+    "trials": "random tangents for constant recovery",
+    "theta_lo": "domain lower bounds, ;-joined",
+    "theta_hi": "domain upper bounds, ;-joined",
 }
+_INT_DEFAULTS = {"seed": 42, "cap": derived.SUPPORT_CAP, "k": 3, "trials": 20}
 
 _DEFAULT_N = "1,2,4,8,16"
 _QUADRATURE_DEFAULT_N = "1,2,3"
@@ -91,6 +99,29 @@ class RunConfig:
             return self.tol[key]
         return self.tol.get("default", default)
 
+    def row(self, theta, n: int, quantity: str, value: float, tol: Optional[float] = None) -> Row:
+        """A CSV row; it passes when it has no tolerance or value <= tol (never when value is NaN)."""
+        return Row(self.family.name, _theta_str(theta), n, quantity, value, tol, tol is None or bool(value <= tol))
+
+    def guarded(self, rows: list, theta, n: int, quantity: str, tol: Optional[float], compute) -> None:
+        """Append compute()'s rows, or the row (theta, n, quantity, value, tol) if it returns a bare value.
+
+        A numerical failure (InfoGeomError) is reported on standard error and
+        becomes a failing row for ``quantity`` with value NaN (and tolerance
+        NaN when the check has none), so the run goes on.
+        """
+        try:
+            result = compute()
+        except InfoGeomError as exc:
+            where = f"{self.family.name} theta={_theta_str(theta)} n={n} {quantity}"
+            print(f"[infogeom] {where}: {exc}", file=sys.stderr)
+            rows.append(self.row(theta, n, quantity, math.nan, math.nan if tol is None else tol))
+            return
+        if isinstance(result, list):
+            rows.extend(result)
+        else:
+            rows.append(self.row(theta, n, quantity, result, tol))
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -110,25 +141,32 @@ def read_config(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _OPTIONS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value
     return values
 
 
-def _parse_params(text: Optional[str]) -> dict:
-    if not text:
-        return {}
-    out = {}
-    for item in text.split(","):
+def _pairs(text: Optional[str], bare_key: Optional[str] = None):
+    """(item, key, value) per non-empty item of a comma list of key=value.
+
+    An item without '=' is keyed ``bare_key``, or rejected when there is none.
+    """
+    for item in (text or "").split(","):
         item = item.strip()
         if not item:
             continue
-        if "=" not in item:
+        if "=" in item:
+            key, value = (part.strip() for part in item.split("=", 1))
+        elif bare_key is not None:
+            key, value = bare_key, item
+        else:
             raise UsageError(f"bad parameter {item!r}, expected key=value")
-        key, value = (part.strip() for part in item.split("=", 1))
-        out[key] = value
-    return out
+        yield item, key, value
+
+
+def _parse_params(text: Optional[str]) -> dict:
+    return {key: value for _, key, value in _pairs(text)}
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -166,17 +204,8 @@ def _parse_n_list(text: str) -> list:
 
 
 def _parse_tol(text: Optional[str]) -> dict:
-    if not text:
-        return {}
     out = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" in item:
-            key, value = (part.strip() for part in item.split("=", 1))
-        else:
-            key, value = "default", item
+    for item, key, value in _pairs(text, bare_key="default"):
         try:
             out[key] = float(value)
         except ValueError as exc:
@@ -186,56 +215,36 @@ def _parse_tol(text: Optional[str]) -> dict:
     return out
 
 
-def _pick(args, config: dict, key: str):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key)
-
-
 def _build_config(args) -> RunConfig:
-    config = read_config(args.config) if args.config else {}
-    name = _pick(args, config, "family")
-    if not name:
+    file_values = read_config(args.config) if args.config else {}
+    opt = {key: file_values.get(key) if getattr(args, key) is None else getattr(args, key) for key in _OPTIONS}
+    if not opt["family"]:
         raise UsageError("--family is required (flag or config file)")
-    params = _parse_params(_pick(args, config, "params"))
-    lo_text = _pick(args, config, "theta_lo")
-    hi_text = _pick(args, config, "theta_hi")
     kwargs = {}
-    if lo_text is not None or hi_text is not None:
-        if lo_text is None or hi_text is None:
+    if opt["theta_lo"] is not None or opt["theta_hi"] is not None:
+        if opt["theta_lo"] is None or opt["theta_hi"] is None:
             raise UsageError("theta_lo and theta_hi must be given together")
-        kwargs = {"theta_lo": _parse_vector(lo_text), "theta_hi": _parse_vector(hi_text)}
-    family = make_family(name, params, **kwargs)
+        kwargs = {"theta_lo": _parse_vector(opt["theta_lo"]), "theta_hi": _parse_vector(opt["theta_hi"])}
+    family = make_family(opt["family"], _parse_params(opt["params"]), **kwargs)
 
-    n_text = _pick(args, config, "n")
+    n_text = opt["n"]
     if n_text is None:
         n_text = _QUADRATURE_DEFAULT_N if family.kind == "quadrature" else _DEFAULT_N
-    seed_text = _pick(args, config, "seed")
-    cap_text = _pick(args, config, "cap")
-    k_text = _pick(args, config, "k")
-    trials_text = _pick(args, config, "trials")
     try:
-        seed = int(seed_text) if seed_text is not None else 42
-        cap = int(cap_text) if cap_text is not None else derived.SUPPORT_CAP
-        k = int(k_text) if k_text is not None else 3
-        trials = int(trials_text) if trials_text is not None else 20
+        ints = {key: default if opt[key] is None else int(opt[key]) for key, default in _INT_DEFAULTS.items()}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    route = _pick(args, config, "route") or "A"
+    route = opt["route"] or "A"
     if route not in ("A", "B", "C", "all"):
         raise UsageError("route must be A, B, C or all")
     return RunConfig(
         family=family,
-        thetas=_parse_thetas(_pick(args, config, "theta"), family),
+        thetas=_parse_thetas(opt["theta"], family),
         n_list=_parse_n_list(n_text),
         route=route,
-        tol=_parse_tol(_pick(args, config, "tol")),
-        seed=seed,
-        out=_pick(args, config, "out"),
-        cap=cap,
-        k=k,
-        trials=trials,
+        tol=_parse_tol(opt["tol"]),
+        out=opt["out"],
+        **ints,
     )
 
 
@@ -268,112 +277,64 @@ def _emit(rows: list, out: Optional[str]) -> None:
             handle.close()
 
 
-def _failure_row(cfg: RunConfig, theta, n: int, quantity: str, tol: float, exc: Exception) -> Row:
-    print(f"[infogeom] {cfg.family.name} theta={_theta_str(theta)} n={n} {quantity}: {exc}", file=sys.stderr)
-    return Row(cfg.family.name, _theta_str(theta), n, quantity, math.nan, tol, False)
-
-
-def cmd_families(args) -> list:
-    del args
+def cmd_families() -> None:
     print("name                   kind        d  m   theta box")
     for family in builtin_families():
         box = family.theta_domain
         bounds = f"[{', '.join(_fmt(x) for x in box.lo)}] .. [{', '.join(_fmt(x) for x in box.hi)}]"
         print(f"{family.name:<22} {family.kind:<10} {family.order:>2} {family.data_dim:>2}   {bounds}")
-    return []
 
 
 def cmd_fisher(cfg: RunConfig) -> list:
     rows = []
     routes = ["A", "B", "C"] if cfg.route == "all" else [cfg.route]
+    indices = [(i, j) for i in range(cfg.family.order) for j in range(cfg.family.order)]
     for theta in cfg.thetas:
         mats = {}
         for route in routes:
-            try:
+
+            def matrix_rows():
                 mats[route] = fisher_information(cfg.family, theta, route=route)
-            except InfoGeomError as exc:
-                rows.append(_failure_row(cfg, theta, 1, f"fisher_{route}", math.nan, exc))
-                continue
-            for i in range(cfg.family.order):
-                for j in range(cfg.family.order):
-                    rows.append(
-                        Row(
-                            cfg.family.name,
-                            _theta_str(theta),
-                            1,
-                            f"fisher_{route}[{i},{j}]",
-                            float(mats[route][i, j]),
-                            None,
-                            True,
-                        )
-                    )
-        if cfg.route == "all" and {"A", "B", "C"} <= set(mats):
-            gap_ab = float(np.max(np.abs(mats["A"] - mats["B"])))
-            gap_ac = float(np.max(np.abs(mats["A"] - mats["C"])))
-            tol_ab = cfg.tolerance("route_ab", 1e-10)
-            tol_ac = cfg.tolerance("route_ac", 1e-6)
-            rows.append(
-                Row(cfg.family.name, _theta_str(theta), 1, "route_gap_AB", gap_ab, tol_ab, gap_ab <= tol_ab)
-            )
-            rows.append(
-                Row(cfg.family.name, _theta_str(theta), 1, "route_gap_AC", gap_ac, tol_ac, gap_ac <= tol_ac)
-            )
+                return [cfg.row(theta, 1, f"fisher_{route}[{i},{j}]", float(mats[route][i, j])) for i, j in indices]
+
+            cfg.guarded(rows, theta, 1, f"fisher_{route}", None, matrix_rows)
+        if cfg.route == "all" and len(mats) == 3:
+            for other, default in (("B", 1e-10), ("C", 1e-6)):
+                gap = float(np.max(np.abs(mats["A"] - mats[other])))
+                tol = cfg.tolerance(f"route_a{other.lower()}", default)
+                rows.append(cfg.row(theta, 1, f"route_gap_A{other}", gap, tol))
     return rows
 
 
 def cmd_invariance(cfg: RunConfig) -> list:
     rows = []
-    default_tol = 1e-9 if cfg.family.kind == "discrete" else 1e-6
-    tol = cfg.tolerance("axioms", default_tol)
+    family, cap = cfg.family, cfg.cap
+    tol = cfg.tolerance("axioms", 1e-9 if family.kind == "discrete" else 1e-6)
     affine_tol = cfg.tolerance("a3_affine", 1e-12)
-    a, b = _suite_directions(cfg.family.order)
+    a, b = _suite_directions(family.order)
+    first, last = cfg.n_list[0], cfg.n_list[-1]
     for theta in cfg.thetas:
         u = TangentCoord(theta, a)
         v = TangentCoord(theta, b)
+
+        def axiom(n, name, check_tol, report):
+            cfg.guarded(rows, theta, n, name, check_tol, lambda: report().residual)
+
         for n in cfg.n_list:
-            for checker, name in ((invariance.check_A1, "A1"), (invariance.check_A2, "A2")):
-                try:
-                    if name == "A1":
-                        report = checker(cfg.family, u, v, n, tol=tol)
-                    else:
-                        report = checker(cfg.family, u, v, n, tol=tol, support_cap=cfg.cap)
-                    rows.append(
-                        Row(cfg.family.name, _theta_str(theta), n, name, report.residual, tol, report.passed)
-                    )
-                except InfoGeomError as exc:
-                    rows.append(_failure_row(cfg, theta, n, name, tol, exc))
-        try:
-            report = invariance.check_A3_constancy(cfg.family, u, cfg.n_list, tol=tol, support_cap=cfg.cap)
-            rows.append(
-                Row(
-                    cfg.family.name,
-                    _theta_str(theta),
-                    cfg.n_list[-1],
-                    "A3-constancy",
-                    report.residual,
-                    tol,
-                    report.passed,
-                )
-            )
-        except InfoGeomError as exc:
-            rows.append(_failure_row(cfg, theta, cfg.n_list[-1], "A3-constancy", tol, exc))
-        try:
-            report = invariance.check_A3_affine(
-                cfg.family, u, n=cfg.n_list[0], seed=cfg.seed, tol=affine_tol, support_cap=cfg.cap
-            )
-            rows.append(
-                Row(
-                    cfg.family.name,
-                    _theta_str(theta),
-                    cfg.n_list[0],
-                    "A3-affine",
-                    report.residual,
-                    affine_tol,
-                    report.passed,
-                )
-            )
-        except InfoGeomError as exc:
-            rows.append(_failure_row(cfg, theta, cfg.n_list[0], "A3-affine", affine_tol, exc))
+            axiom(n, "A1", tol, lambda: invariance.check_A1(family, u, v, n, tol=tol))
+            axiom(n, "A2", tol, lambda: invariance.check_A2(family, u, v, n, tol=tol, support_cap=cap))
+        axiom(
+            last,
+            "A3-constancy",
+            tol,
+            lambda: invariance.check_A3_constancy(family, u, cfg.n_list, tol=tol, support_cap=cap),
+        )
+        axiom(
+            first,
+            "A3-affine",
+            affine_tol,
+            lambda: invariance.check_A3_affine(family, u, n=first, seed=cfg.seed, tol=affine_tol, support_cap=cap),
+        )
     return rows
 
 
@@ -382,16 +343,15 @@ def cmd_clt(cfg: RunConfig) -> list:
     ks_tol = cfg.tol.get("ks", cfg.tol.get("default"))
     for theta in cfg.thetas:
         for n in cfg.n_list:
-            try:
+
+            def diagnostic_rows():
                 diag = invariance.clt_diagnostics(cfg.family, theta, n, support_cap=cfg.cap)
-            except InfoGeomError as exc:
-                rows.append(_failure_row(cfg, theta, n, "ks_max", ks_tol or math.nan, exc))
-                continue
-            passed = True if ks_tol is None else diag.ks_max <= ks_tol
-            rows.append(Row(cfg.family.name, _theta_str(theta), n, "ks_max", diag.ks_max, ks_tol, passed))
-            rows.append(
-                Row(cfg.family.name, _theta_str(theta), n, "moment_gap", diag.moment_gap, None, True)
-            )
+                return [
+                    cfg.row(theta, n, "ks_max", diag.ks_max, ks_tol),
+                    cfg.row(theta, n, "moment_gap", diag.moment_gap),
+                ]
+
+            cfg.guarded(rows, theta, n, "ks_max", ks_tol, diagnostic_rows)
     return rows
 
 
@@ -399,49 +359,31 @@ def cmd_tensor(cfg: RunConfig) -> list:
     rows = []
     fd_tol = cfg.tolerance("fd3", 1e-5)
     a = np.ones(cfg.family.order)
+    residual, exponent = f"scaling_residual_k{cfg.k}", f"scaling_exponent_k{cfg.k}"
     for theta in cfg.thetas:
         value = tensors.amari_chentsov(cfg.family, theta, [a] * cfg.k)
-        rows.append(
-            Row(cfg.family.name, _theta_str(theta), 1, f"amari_chentsov_k{cfg.k}", value, None, True)
-        )
+        rows.append(cfg.row(theta, 1, f"amari_chentsov_k{cfg.k}", value))
         if cfg.k == 3:
-            try:
-                gap = abs(value - tensors.fd_third_derivative(cfg.family, theta, a))
-                rows.append(
-                    Row(cfg.family.name, _theta_str(theta), 1, "fd3_gap", gap, fd_tol, gap <= fd_tol)
-                )
-            except InfoGeomError as exc:
-                rows.append(_failure_row(cfg, theta, 1, "fd3_gap", fd_tol, exc))
+            cfg.guarded(
+                rows,
+                theta,
+                1,
+                "fd3_gap",
+                fd_tol,
+                lambda: abs(value - tensors.fd_third_derivative(cfg.family, theta, a)),
+            )
         for n in cfg.n_list:
             if n == 1:
                 continue
-            try:
+
+            def scaling_rows():
                 check = tensors.higher_scaling_check(cfg.family, theta, a, n, cfg.k, support_cap=cfg.cap)
-            except InfoGeomError as exc:
-                rows.append(_failure_row(cfg, theta, n, f"scaling_residual_k{cfg.k}", math.nan, exc))
-                continue
-            rows.append(
-                Row(
-                    cfg.family.name,
-                    _theta_str(theta),
-                    n,
-                    f"scaling_residual_k{cfg.k}",
-                    check.residual,
-                    None,
-                    True,
-                )
-            )
-            rows.append(
-                Row(
-                    cfg.family.name,
-                    _theta_str(theta),
-                    n,
-                    f"scaling_exponent_k{cfg.k}",
-                    check.measured_exponent,
-                    None,
-                    True,
-                )
-            )
+                return [
+                    cfg.row(theta, n, residual, check.residual),
+                    cfg.row(theta, n, exponent, check.measured_exponent),
+                ]
+
+            cfg.guarded(rows, theta, n, residual, None, scaling_rows)
     return rows
 
 
@@ -462,24 +404,13 @@ def cmd_uniqueness(cfg: RunConfig) -> list:
     for theta in cfg.thetas:
         u = TangentCoord(theta, a)
         for label, functional, check_tol in candidates:
-            try:
-                residual = invariance.uniqueness_residual(functional, cfg.family, u, n1, n2, support_cap=cfg.cap)
-            except InfoGeomError as exc:
-                rows.append(
-                    _failure_row(cfg, theta, n2, f"uniqueness_residual[{label}]", check_tol or math.nan, exc)
-                )
-                continue
-            passed = True if check_tol is None else residual <= check_tol
-            rows.append(
-                Row(
-                    cfg.family.name,
-                    _theta_str(theta),
-                    n2,
-                    f"uniqueness_residual[{label}]",
-                    residual,
-                    check_tol,
-                    passed,
-                )
+            cfg.guarded(
+                rows,
+                theta,
+                n2,
+                f"uniqueness_residual[{label}]",
+                check_tol,
+                lambda: invariance.uniqueness_residual(functional, cfg.family, u, n1, n2, support_cap=cfg.cap),
             )
     fisher_field = geometry.fisher_metric_field(cfg.family)
     fields = [
@@ -489,64 +420,32 @@ def cmd_uniqueness(cfg: RunConfig) -> list:
     theta0 = cfg.thetas[0]
     for label, metric_field, check_tol in fields:
         result = invariance.recover_constant(metric_field, cfg.family, trials=cfg.trials, seed=cfg.seed)
-        rows.append(
-            Row(cfg.family.name, _theta_str(theta0), 1, f"recover_c_hat[{label}]", result.c_hat, None, True)
-        )
-        passed = True if check_tol is None else result.spread <= check_tol
-        rows.append(
-            Row(
-                cfg.family.name,
-                _theta_str(theta0),
-                1,
-                f"recover_spread[{label}]",
-                result.spread,
-                check_tol,
-                passed,
-            )
-        )
+        rows.append(cfg.row(theta0, 1, f"recover_c_hat[{label}]", result.c_hat))
+        rows.append(cfg.row(theta0, 1, f"recover_spread[{label}]", result.spread, check_tol))
     return rows
+
+
+_COMMANDS = {
+    "families": (cmd_families, "list the registered families"),
+    "fisher": (cmd_fisher, "Fisher information matrices by route"),
+    "invariance": (cmd_invariance, "axiom residual report (A1, A2, A3)"),
+    "clt": (cmd_clt, "convergence diagnostics for the standardized push-forwards"),
+    "tensor": (cmd_tensor, "higher-order tensor values, derivative and scaling checks"),
+    "uniqueness": (cmd_uniqueness, "constant recovery and candidate-functional residuals"),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="infogeom", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == "families":
-            return p
-        p.add_argument("--family", help="registered family name")
-        p.add_argument("--params", help="family parameters, e.g. m=4")
-        p.add_argument("--theta", help="theta values: 'grid' or comma-separated ;-joined vectors")
-        p.add_argument("--n", help="ascending comma-separated extension sizes")
-        p.add_argument("--route", help="fisher route: A, B, C or all")
-        p.add_argument("--tol", help="tolerance overrides: value or key=value[,key=value...]")
-        p.add_argument("--seed", help="seed for random tangent sampling")
-        p.add_argument("--out", help="CSV output path (default stdout)")
+            continue
+        for key, option_help in _OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=option_help)
         p.add_argument("--config", help="INI-style key=value configuration file")
-        p.add_argument("--cap", help="convolution support cap")
-        p.add_argument("--k", help="tensor order (tensor command)")
-        p.add_argument("--trials", help="random tangents for constant recovery")
-        p.add_argument("--theta-lo", dest="theta_lo", help="domain lower bounds, ;-joined")
-        p.add_argument("--theta-hi", dest="theta_hi", help="domain upper bounds, ;-joined")
-        return p
-
-    add("families", "list the registered families")
-    add("fisher", "Fisher information matrices by route")
-    add("invariance", "axiom residual report (A1, A2, A3)")
-    add("clt", "convergence diagnostics for the standardized push-forwards")
-    add("tensor", "higher-order tensor values, derivative and scaling checks")
-    add("uniqueness", "constant recovery and candidate-functional residuals")
     return parser
-
-
-_COMMANDS = {
-    "fisher": cmd_fisher,
-    "invariance": cmd_invariance,
-    "clt": cmd_clt,
-    "tensor": cmd_tensor,
-    "uniqueness": cmd_uniqueness,
-}
 
 
 def main(argv=None) -> int:
@@ -554,11 +453,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "families":
-            cmd_families(args)
+            cmd_families()
             return 0
         cfg = _build_config(args)
         print(f"[infogeom] {args.command}: family={cfg.family.name} seed={cfg.seed}", file=sys.stderr)
-        rows = _COMMANDS[args.command](cfg)
+        rows = _COMMANDS[args.command][0](cfg)
         _emit(rows, cfg.out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -566,8 +465,12 @@ def main(argv=None) -> int:
     except InfoGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    failed = [row for row in rows if row.tolerance is not None and not row.passed]
-    failed += [row for row in rows if math.isnan(row.value)]
+    failed = sum(not row.passed for row in rows)
+    undefined = sum(math.isnan(row.value) for row in rows)
+    print(
+        f"[infogeom] {len(rows)} rows: {len(rows) - failed} pass, {failed} fail, {undefined} undefined (nan)",
+        file=sys.stderr,
+    )
     return 2 if failed else 0
 
 

@@ -72,20 +72,24 @@ class AffineMap:
         return AffineMap(np.eye(dim), np.zeros(dim))
 
 
-def sym_sqrt(matrix, floor: float = RANK_EPS) -> np.ndarray:
-    """Symmetric square root via eigendecomposition; RankError below floor."""
+def _checked_eigh(matrix, floor: float):
+    """Eigenvectors and the square roots of the eigenvalues; RankError below floor."""
     vals, vecs = np.linalg.eigh(np.asarray(matrix, dtype=float))
     if float(vals.min()) < floor:
         raise RankError("matrix is numerically singular")
-    return (vecs * np.sqrt(np.clip(vals, floor, None))) @ vecs.T
+    return np.sqrt(np.clip(vals, floor, None)), vecs
+
+
+def sym_sqrt(matrix, floor: float = RANK_EPS) -> np.ndarray:
+    """Symmetric square root via eigendecomposition; RankError below floor."""
+    roots, vecs = _checked_eigh(matrix, floor)
+    return (vecs * roots) @ vecs.T
 
 
 def sym_inv_sqrt(matrix, floor: float = RANK_EPS) -> np.ndarray:
     """Symmetric inverse square root; eigenvalues below floor raise RankError."""
-    vals, vecs = np.linalg.eigh(np.asarray(matrix, dtype=float))
-    if float(vals.min()) < floor:
-        raise RankError("matrix is numerically singular")
-    return (vecs / np.sqrt(np.clip(vals, floor, None))) @ vecs.T
+    roots, vecs = _checked_eigh(matrix, floor)
+    return (vecs / roots) @ vecs.T
 
 
 def convolve(p: FiniteMeasure, q: FiniteMeasure, support_cap: int = SUPPORT_CAP) -> FiniteMeasure:

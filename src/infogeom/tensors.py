@@ -186,16 +186,9 @@ def symmetric_power_eval(family: ExpFamily, theta, dirs: Sequence, c_prime: floa
     c' [g(u,v) g(w,m) + g(u,w) g(v,m) + g(u,m) g(v,w)] with g the Fisher
     quadratic form at theta.
     """
-    dirs = [np.asarray(a, dtype=float).reshape(-1) for a in dirs]
     if len(dirs) != 4:
         raise ValueError("the quartic power takes exactly four directions")
-    sigma = cov_statistic(family, theta)
-
-    def g(x, y):
-        return float(x @ sigma @ y)
-
-    u, v, w, m = dirs
-    return float(c_prime) * (g(u, v) * g(w, m) + g(u, w) * g(v, m) + g(u, m) * g(v, w))
+    return power_tensor_field(family, 4, c_prime).eval(theta, dirs)
 
 
 def polarize_symmetric4(diagonal: Callable[[np.ndarray], float], dirs: Sequence) -> float:

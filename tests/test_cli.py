@@ -5,7 +5,7 @@ import math
 import pytest
 
 import infogeom.derived as derived
-from infogeom.cli import main
+from infogeom.cli import _OPTIONS, main
 
 
 def _run(capsys, argv):
@@ -187,3 +187,70 @@ def test_q_n_builds_are_shared_within_theta(monkeypatch, tmp_path, argv, convolu
     monkeypatch.setattr(derived, "convolve", counting)
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) in (0, 2)
     assert len(calls) == convolutions
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # scaling_exponent_k3 is NaN at theta = 0, where the third cumulant vanishes: undefined, not failed
+        (["tensor", "--family", "bernoulli"], 0),
+        (["invariance", "--family", "bernoulli", "--n", "1,32", "--cap", "20"], 2),
+        (["clt", "--family", "bernoulli", "--tol", "ks=0.05"], 2),
+    ],
+)
+def test_exit_code_follows_pass_column(capsys, argv, expected):
+    code, out, err = _run(capsys, argv)
+    rows = _rows(out)
+    failed = sum(r["pass"] == "false" for r in rows)
+    undefined = sum(math.isnan(float(r["value"])) for r in rows)
+    assert code == (2 if failed else 0) == expected
+    summary = f"[infogeom] {len(rows)} rows: {len(rows) - failed} pass, {failed} fail, {undefined} undefined (nan)"
+    assert err.splitlines()[-1] == summary
+    if expected == 0:
+        assert undefined > 0
+
+
+# key -> (command, the other settings as flags, value under test): bernoulli at small n, except
+# binomial for params (bernoulli has none) and a theta outside bernoulli's box for theta_lo/theta_hi
+_OPTION_CASES = {
+    "family": ("invariance", {"theta": "0", "n": "1,2"}, "bernoulli"),
+    "params": ("invariance", {"family": "binomial", "theta": "0", "n": "1,2"}, "m=3"),
+    "theta": ("invariance", {"family": "bernoulli", "n": "1,2"}, "0.5"),
+    "n": ("invariance", {"family": "bernoulli", "theta": "0"}, "1,3"),
+    "route": ("fisher", {"family": "bernoulli", "theta": "0"}, "all"),
+    "tol": ("clt", {"family": "bernoulli", "theta": "0", "n": "1,4"}, "ks=0.3"),
+    "seed": ("uniqueness", {"family": "bernoulli", "theta": "0", "n": "1,2"}, "7"),
+    "out": ("clt", {"family": "bernoulli", "theta": "0", "n": "1,2"}, None),
+    "cap": ("invariance", {"family": "bernoulli", "theta": "0", "n": "1,32"}, "20"),
+    "k": ("tensor", {"family": "bernoulli", "theta": "0.5", "n": "1,2"}, "4"),
+    "trials": ("uniqueness", {"family": "bernoulli", "theta": "0", "n": "1,2"}, "5"),
+    "theta_lo": ("invariance", {"family": "bernoulli", "theta_hi": "12", "theta": "-11", "n": "1,2"}, "-12"),
+    "theta_hi": ("invariance", {"family": "bernoulli", "theta_lo": "-12", "theta": "11", "n": "1,2"}, "12"),
+}
+
+
+def test_option_cases_cover_every_key():
+    assert set(_OPTION_CASES) == set(_OPTIONS)
+
+
+@pytest.mark.parametrize("key", sorted(_OPTION_CASES))
+def test_option_as_flag_or_config_key(tmp_path, capsys, key):
+    command, others, value = _OPTION_CASES[key]
+    out = tmp_path / "out.csv"
+    if key == "out":
+        value = str(out)
+
+    def run(extra):
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in others.items()]
+        code, stdout, _ = _run(capsys, [command, *flags, *extra])
+        written = out.read_text(encoding="utf-8") if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, stdout, written
+
+    config = tmp_path / "run.ini"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    by_flag = run([f"--{key.replace('_', '-')}={value}"])
+    by_config = run(["--config", str(config)])
+    assert by_flag == by_config
+    assert by_flag[0] in (0, 2) and _rows(by_flag[2] or by_flag[1])
+    assert run([]) != by_flag  # the key took effect
