@@ -55,7 +55,7 @@ _OPTIONS = {
     "theta_lo": "domain lower bounds, ;-joined",
     "theta_hi": "domain upper bounds, ;-joined",
 }
-_INT_DEFAULTS = {"seed": 42, "cap": derived.SUPPORT_CAP, "k": 3, "trials": 20}
+_INT_DEFAULTS = {"seed": (42, 0), "cap": (derived.SUPPORT_CAP, 1), "k": (3, 2), "trials": (20, 1)}  # (default, min)
 
 _DEFAULT_N = "1,2,4,8,16"
 _QUADRATURE_DEFAULT_N = "1,2,3"
@@ -230,10 +230,14 @@ def _build_config(args) -> RunConfig:
     n_text = opt["n"]
     if n_text is None:
         n_text = _QUADRATURE_DEFAULT_N if family.kind == "quadrature" else _DEFAULT_N
-    try:
-        ints = {key: default if opt[key] is None else int(opt[key]) for key, default in _INT_DEFAULTS.items()}
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    ints = {}
+    for key, (default, minimum) in _INT_DEFAULTS.items():
+        try:
+            ints[key] = default if opt[key] is None else int(opt[key])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        if ints[key] < minimum:
+            raise UsageError(f"{key} must be an integer >= {minimum}, got {ints[key]}")
     route = opt["route"] or "A"
     if route not in ("A", "B", "C", "all"):
         raise UsageError("route must be A, B, C or all")

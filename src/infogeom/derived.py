@@ -92,6 +92,14 @@ def sym_inv_sqrt(matrix, floor: float = RANK_EPS) -> np.ndarray:
     return (vecs / roots) @ vecs.T
 
 
+def _extension_size(n) -> int:
+    """n as an int; ValueError unless it is a positive integer."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    return n
+
+
 def convolve(p: FiniteMeasure, q: FiniteMeasure, support_cap: int = SUPPORT_CAP) -> FiniteMeasure:
     """Distribution of the sum of independent draws from p and q (exact)."""
     pairs = p.size * q.size
@@ -161,9 +169,7 @@ def nef_distribution(family: ExpFamily, theta, n: int, support_cap: int = SUPPOR
     shared per (family, theta, support_cap); see the module docstring.
     """
     global _ladder
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _extension_size(n)
     theta_key = np.asarray(theta, dtype=float).reshape(-1).tobytes()
     with _ladder_lock:
         if _ladder is None or not _ladder.serves(family, theta_key, support_cap):
@@ -186,9 +192,7 @@ def nef_tangent(family: ExpFamily, u: TangentCoord, n: int, support_cap: int = S
 
 def standardizing_map(family: ExpFamily, theta, n: int) -> AffineMap:
     """Affine map L(y) = sqrt(n) Sigma^{-1/2} (y - tau) standardizing Q_n."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _extension_size(n)
     tau = mean_statistic(family, theta)
     m = np.sqrt(float(n)) * sym_inv_sqrt(cov_statistic(family, theta))
     return AffineMap(m, -m @ tau)
@@ -201,9 +205,7 @@ def affine_pushforward_pair(affine: AffineMap, pair: TangentPair) -> TangentPair
 
 def iid_fisher(family: ExpFamily, theta, n: int) -> np.ndarray:
     """Fisher matrix of the n-fold IID extension in natural coordinates: n Sigma."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _extension_size(n)
     return n * cov_statistic(family, theta)
 
 
@@ -215,9 +217,7 @@ def product_index(size: int, n: int) -> np.ndarray:
 
 def iid_product(p: FiniteMeasure, n: int, max_points: int = SUPPORT_CAP) -> FiniteMeasure:
     """Product measure P^n on R^{n m}, materialized (intended for n <= 3)."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _extension_size(n)
     if p.size ** n > max_points:
         raise SupportBlowupError(f"product support {p.size}^{n} exceeds {max_points}")
     idx = product_index(p.size, n)

@@ -29,7 +29,7 @@ from .errors import (
     RankError,
     UnknownFamilyError,
 )
-from .measures import FiniteMeasure, SignedFiniteMeasure, TangentPair
+from .measures import FiniteMeasure, SignedFiniteMeasure, TangentPair, centered, weighted_cov
 
 RANK_EPS = 1e-10
 FD_STEP = 1e-4
@@ -84,16 +84,12 @@ class TangentCoord:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "a", a)
 
-    def _check_base(self, other: "TangentCoord"):
-        if not np.array_equal(self.theta, other.theta):
-            raise BasePointMismatchError("tangent vectors have different base points")
-
     def __add__(self, other: "TangentCoord") -> "TangentCoord":
-        self._check_base(other)
+        require_shared_base(self, other)
         return TangentCoord(self.theta, self.a + other.a)
 
     def __sub__(self, other: "TangentCoord") -> "TangentCoord":
-        self._check_base(other)
+        require_shared_base(self, other)
         return TangentCoord(self.theta, self.a - other.a)
 
     def __mul__(self, scalar) -> "TangentCoord":
@@ -103,6 +99,12 @@ class TangentCoord:
 
     def __neg__(self) -> "TangentCoord":
         return TangentCoord(self.theta, -self.a)
+
+
+def require_shared_base(u: TangentCoord, v: TangentCoord) -> None:
+    """Raise :class:`BasePointMismatchError` unless u and v sit at the same theta."""
+    if not np.array_equal(u.theta, v.theta):
+        raise BasePointMismatchError("tangent vectors have different base points")
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,10 +165,10 @@ class ExpFamily:
         return self.base.dim
 
 
-def _default_grid(box: ThetaBox, n_points: int = 5) -> np.ndarray:
+def _default_grid(box: ThetaBox) -> np.ndarray:
     lo = box.lo + 0.25 * (box.hi - box.lo)
     hi = box.hi - 0.25 * (box.hi - box.lo)
-    return np.linspace(lo, hi, n_points)
+    return np.linspace(lo, hi, 5)
 
 
 def _as_theta(family: ExpFamily, theta) -> np.ndarray:
@@ -212,10 +214,7 @@ def cov_statistic(family: ExpFamily, theta) -> np.ndarray:
     ``RANK_EPS`` (the machine-checkable form of the full-rank assumption).
     """
     dw = density_weights(family, theta)
-    tau = dw @ family.stat_values
-    centered = family.stat_values - tau
-    cov = (dw[:, None] * centered).T @ centered
-    cov = 0.5 * (cov + cov.T)
+    cov = weighted_cov(dw, centered(dw, family.stat_values)[1])
     if float(np.min(np.linalg.eigvalsh(cov))) < RANK_EPS:
         raise RankError("statistic covariance is numerically singular")
     return cov
@@ -223,8 +222,7 @@ def cov_statistic(family: ExpFamily, theta) -> np.ndarray:
 
 def _fisher_route_b(family: ExpFamily, theta) -> np.ndarray:
     dw = density_weights(family, theta)
-    tau = dw @ family.stat_values
-    scores = family.stat_values - tau  # d/dtheta_i log p_theta = T_i - tau_i
+    scores = centered(dw, family.stat_values)[1]  # d/dtheta_i log p_theta = T_i - tau_i
     mat = np.einsum("n,ni,nj->ij", dw, scores, scores)
     return 0.5 * (mat + mat.T)
 
@@ -318,8 +316,7 @@ def model_tangent(family: ExpFamily, u: TangentCoord) -> TangentPair:
     if u.a.shape[0] != family.order:
         raise ValueError("direction dimension mismatch")
     dw = density_weights(family, t)
-    tau = dw @ family.stat_values
-    slope = (family.stat_values - tau) @ u.a
+    slope = centered(dw, family.stat_values)[1] @ u.a
     base = FiniteMeasure(family.base.points, dw)
     direction = SignedFiniteMeasure(family.base.points, dw * slope)
     return TangentPair(base, direction)
@@ -329,132 +326,54 @@ def model_tangent(family: ExpFamily, u: TangentCoord) -> TangentPair:
 # family registry
 
 
-def _require_int(params: Mapping, key: str, default: int, lo: int) -> int:
-    raw = params.get(key, default)
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise BadParamError(f"parameter {key!r} must be an integer, got {raw!r}") from None
-    if value != float(raw) or value < lo:
-        raise BadParamError(f"parameter {key!r} must be an integer >= {lo}, got {raw!r}")
-    return value
+def _bernoulli():
+    points = np.array([[0.0], [1.0]])
+    return points, np.ones(2), points
 
 
-def _check_params(name: str, params: Mapping, allowed: set):
-    unknown = set(params) - allowed
-    if unknown:
-        raise BadParamError(f"unknown parameter(s) {sorted(unknown)} for family {name!r}")
-
-
-def _grid(lo, hi) -> np.ndarray:
-    return np.linspace(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), 5)
-
-
-def _build_bernoulli(params, box):
-    _check_params("bernoulli", params, set())
-    return dict(
-        name="bernoulli",
-        base=FiniteMeasure([[0.0], [1.0]], [1.0, 1.0]),
-        stats=np.array([[0.0], [1.0]]),
-        box=box or ThetaBox([-10.0], [10.0]),
-        kind="discrete",
-        grid=_grid([-1.5], [1.5]),
-    )
-
-
-def _build_binomial(params, box):
-    _check_params("binomial", params, {"m"})
-    m = _require_int(params, "m", 4, 1)
+def _binomial(m):
     xs = np.arange(m + 1, dtype=float).reshape(-1, 1)
-    w = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
-    return dict(
-        name=f"binomial({m})",
-        base=FiniteMeasure(xs, w),
-        stats=xs.copy(),
-        box=box or ThetaBox([-10.0], [10.0]),
-        kind="discrete",
-        grid=_grid([-1.5], [1.5]),
-    )
+    return xs, np.array([math.comb(m, k) for k in range(m + 1)], dtype=float), xs
 
 
-def _build_categorical(params, box):
-    _check_params("categorical", params, {"k"})
-    k = _require_int(params, "k", 3, 2)
+def _categorical(k):
     points = np.eye(k)
-    stats = points[:, : k - 1].copy()
-    d = k - 1
-    stagger = 0.8 ** np.arange(d)
-    return dict(
-        name=f"categorical({k})",
-        base=FiniteMeasure(points, np.ones(k)),
-        stats=stats,
-        box=box or ThetaBox(-8.0 * np.ones(d), 8.0 * np.ones(d)),
-        kind="discrete",
-        grid=_grid(-1.5 * stagger, 1.5 * stagger),
-    )
+    return points, np.ones(k), points[:, : k - 1]
 
 
-def _build_poisson_trunc(params, box):
-    _check_params("poisson_trunc", params, {"N"})
-    n_max = _require_int(params, "N", 50, 5)
-    xs = np.arange(n_max + 1, dtype=float).reshape(-1, 1)
-    w = np.array([1.0 / math.factorial(k) for k in range(n_max + 1)])
-    return dict(
-        name=f"poisson_trunc({n_max})",
-        base=FiniteMeasure(xs, w),
-        stats=xs.copy(),
-        box=box or ThetaBox([-10.0], [2.5]),
-        kind="discrete",
-        grid=_grid([-1.0], [1.0]),
-    )
+def _poisson_trunc(N):
+    xs = np.arange(N + 1, dtype=float).reshape(-1, 1)
+    return xs, np.array([1.0 / math.factorial(k) for k in range(N + 1)]), xs
 
 
-def _build_gauss_known_var(params, box):
+def _gauss_known_var(nodes):
     # Gauss-Hermite discretization of the standard normal base; the family
     # p_theta ~ exp(theta x) dN(0,1) is the unit-variance location family.
-    _check_params("gauss_known_var", params, {"nodes"})
-    nodes = _require_int(params, "nodes", 201, 11)
     x, w = np.polynomial.hermite.hermgauss(nodes)
     pts = (math.sqrt(2.0) * x).reshape(-1, 1)
-    wts = w / math.sqrt(math.pi)
-    return dict(
-        name=f"gauss_known_var({nodes})",
-        base=FiniteMeasure(pts, wts),
-        stats=pts.copy(),
-        box=box or ThetaBox([-4.0], [4.0]),
-        kind="quadrature",
-        grid=_grid([-1.5], [1.5]),
-    )
+    return pts, w / math.sqrt(math.pi), pts
 
 
-def _build_exponential_dist(params, box):
+def _exponential_dist(nodes):
     # Lebesgue measure on [0, inf) via Gauss-Legendre on t in [0,1] with the
     # bounded transform x = -3 log(1 - t); p_theta ~ exp(theta x) dx needs
     # theta < 0, and the declared box keeps the transform well resolved.
-    _check_params("exponential_dist", params, {"nodes"})
-    nodes = _require_int(params, "nodes", 201, 11)
     u, w = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * (u + 1.0)
     one_minus_t = 0.5 * (1.0 - u)
     pts = (-3.0 * np.log(one_minus_t)).reshape(-1, 1)
-    wts = 0.5 * w * 3.0 / one_minus_t
-    return dict(
-        name=f"exponential_dist({nodes})",
-        base=FiniteMeasure(pts, wts),
-        stats=pts.copy(),
-        box=box or ThetaBox([-6.0], [-0.5]),
-        kind="quadrature",
-        grid=_grid([-4.0], [-1.0]),
-    )
+    return pts, 0.5 * w * 3.0 / one_minus_t, pts
 
 
+# name: (builder, {param: (default, minimum)}, kind, default box (lo, hi) on every axis,
+#        default grid (lo, hi) on axis 0, scaled by 0.8^i on axis i); builder(**params)
+#        returns the base points, the base weights and the statistic rows
 _REGISTRY = {
-    "bernoulli": _build_bernoulli,
-    "binomial": _build_binomial,
-    "categorical": _build_categorical,
-    "poisson_trunc": _build_poisson_trunc,
-    "gauss_known_var": _build_gauss_known_var,
-    "exponential_dist": _build_exponential_dist,
+    "bernoulli": (_bernoulli, {}, "discrete", (-10.0, 10.0), (-1.5, 1.5)),
+    "binomial": (_binomial, {"m": (4, 1)}, "discrete", (-10.0, 10.0), (-1.5, 1.5)),
+    "categorical": (_categorical, {"k": (3, 2)}, "discrete", (-8.0, 8.0), (-1.5, 1.5)),
+    "poisson_trunc": (_poisson_trunc, {"N": (50, 5)}, "discrete", (-10.0, 2.5), (-1.0, 1.0)),
+    "gauss_known_var": (_gauss_known_var, {"nodes": (201, 11)}, "quadrature", (-4.0, 4.0), (-1.5, 1.5)),
+    "exponential_dist": (_exponential_dist, {"nodes": (201, 11)}, "quadrature", (-6.0, -0.5), (-4.0, -1.0)),
 }
 
 
@@ -470,24 +389,40 @@ def make_family(
     theta_hi=None,
 ) -> ExpFamily:
     """Build a registered family; optional box bounds override the default."""
-    builder = _REGISTRY.get(name)
-    if builder is None:
+    if name not in _REGISTRY:
         raise UnknownFamilyError(f"unknown family {name!r}; known: {sorted(_REGISTRY)}")
+    build, spec, kind, box_range, grid_range = _REGISTRY[name]
     box = None
     if (theta_lo is None) != (theta_hi is None):
         raise BadParamError("theta_lo and theta_hi must be given together")
     if theta_lo is not None:
         box = ThetaBox(theta_lo, theta_hi)
-    recipe = builder(dict(params or {}), box)
-    grid = recipe["grid"]
-    if box is not None:
-        grid = _default_grid(box)
+    params = dict(params or {})
+    unknown = set(params) - set(spec)
+    if unknown:
+        raise BadParamError(f"unknown parameter(s) {sorted(unknown)} for family {name!r}")
+    ints = {}
+    for key, (default, lo) in spec.items():
+        raw = params.get(key, default)
+        try:
+            ints[key] = int(raw)
+        except (TypeError, ValueError):
+            raise BadParamError(f"parameter {key!r} must be an integer, got {raw!r}") from None
+        if ints[key] != float(raw) or ints[key] < lo:
+            raise BadParamError(f"parameter {key!r} must be an integer >= {lo}, got {raw!r}")
+    points, weights, stats = build(**ints)
+    grid = None  # a given box gets ExpFamily's default grid
+    if box is None:
+        d = stats.shape[1]
+        stagger = 0.8 ** np.arange(d)
+        box = ThetaBox(box_range[0] * np.ones(d), box_range[1] * np.ones(d))
+        grid = np.linspace(grid_range[0] * stagger, grid_range[1] * stagger, 5)
     return ExpFamily(
-        name=recipe["name"],
-        base=recipe["base"],
-        stat_values=recipe["stats"],
-        theta_domain=recipe["box"],
-        kind=recipe["kind"],
+        name=name + "".join(f"({value})" for value in ints.values()),
+        base=FiniteMeasure(points, weights),
+        stat_values=stats,
+        theta_domain=box,
+        kind=kind,
         theta_grid=grid,
     )
 

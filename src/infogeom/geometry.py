@@ -16,8 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BasePointMismatchError
-from .expfam import ExpFamily, TangentCoord, cov_statistic, fisher_information, model_tangent
+from .expfam import ExpFamily, TangentCoord, cov_statistic, fisher_information, model_tangent, require_shared_base
 from .measures import FiniteMeasure, GaussianReference, radon_nikodym
 
 METRIC_SYMMETRY_TOL = 1e-12
@@ -159,8 +158,7 @@ def sinusoidal_fisher_field(family: ExpFamily, amplitude: float = 0.2) -> Metric
 
 def metric_eval(field: MetricField, u: TangentCoord, v: TangentCoord) -> float:
     """Bilinear value a^T g(theta) b for tangent vectors at the same theta."""
-    if not np.array_equal(u.theta, v.theta):
-        raise BasePointMismatchError("metric arguments must share the base point")
+    require_shared_base(u, v)
     return float(u.a @ field.matrix(u.theta) @ v.a)
 
 
@@ -170,8 +168,7 @@ def norm_of_tangent(field: MetricField, u: TangentCoord) -> float:
 
 def polarize(h_squared: Callable[[TangentCoord], float], u: TangentCoord, v: TangentCoord) -> float:
     """Recover the bilinear value from diagonal values: [h2(u+v) - h2(u-v)] / 4."""
-    if not np.array_equal(u.theta, v.theta):
-        raise BasePointMismatchError("polarisation needs a shared base point")
+    require_shared_base(u, v)
     return (float(h_squared(u + v)) - float(h_squared(u - v))) / 4.0
 
 
@@ -181,8 +178,7 @@ def invariant_form_value(family: ExpFamily, u: TangentCoord, v: TangentCoord) ->
     Computes integral (dA/dP)(dB/dP) dP for the model tangents of u and v;
     agrees with the parameterisation-dependent score-product matrix.
     """
-    if not np.array_equal(u.theta, v.theta):
-        raise BasePointMismatchError("invariant form needs a shared base point")
+    require_shared_base(u, v)
     tu = model_tangent(family, u)
     tv = model_tangent(family, v)
     ra = radon_nikodym(tu.direction, tu.base)

@@ -33,8 +33,8 @@ from .derived import (
     standardizing_map,
     sym_sqrt,
 )
-from .errors import BasePointMismatchError, PreconditionError, RankError
-from .expfam import ExpFamily, TangentCoord, cov_statistic, density_weights, mean_statistic
+from .errors import PreconditionError, RankError
+from .expfam import ExpFamily, TangentCoord, cov_statistic, density_weights, mean_statistic, require_shared_base
 from .geometry import (
     MetricField,
     NormFunctional,
@@ -82,11 +82,6 @@ class AxiomReport:
         )
 
 
-def _require_shared_base(u: TangentCoord, v: TangentCoord):
-    if not np.array_equal(u.theta, v.theta):
-        raise BasePointMismatchError("directions must share the base point")
-
-
 def _product_score_form(family: ExpFamily, theta, a, b, n: int) -> Optional[float]:
     """Score-product integral on the materialized n-fold product space.
 
@@ -114,7 +109,7 @@ def check_A1(family: ExpFamily, u: TangentCoord, v: TangentCoord, n: int, tol: f
     n <= 3 the left side is additionally recomputed from the score
     representation on the materialized product space.
     """
-    _require_shared_base(u, v)
+    require_shared_base(u, v)
     n = int(n)
     lhs = float(u.a @ iid_fisher(family, u.theta, n) @ v.a)
     rhs = float(n * (u.a @ cov_statistic(family, u.theta) @ v.a))
@@ -140,7 +135,7 @@ def check_A2(
     Radon-Nikodym derivatives: integral (dA_n/dQ_n)(dB_n/dQ_n) dQ_n, which
     expands to n^2 a^T Cov(Q_n) b.
     """
-    _require_shared_base(u, v)
+    require_shared_base(u, v)
     n = int(n)
     pair_u = nef_tangent(family, u, n, support_cap)
     tau = mean_statistic(family, u.theta)
@@ -299,12 +294,10 @@ def ks_to_standard_normal(marginal) -> float:
     and the analytic normal CDF, attained at support points. The analytic
     reference itself gives 0.
     """
-    if isinstance(marginal, GaussianReference):
-        if marginal.dim != 1:
-            raise ValueError("the KS diagnostic compares one-dimensional marginals")
-        return 0.0
     if marginal.dim != 1:
         raise ValueError("the KS diagnostic compares one-dimensional marginals")
+    if isinstance(marginal, GaussianReference):
+        return 0.0
     order = np.argsort(marginal.points[:, 0], kind="stable")
     pts = marginal.points[order, 0]
     wts = marginal.weights[order]

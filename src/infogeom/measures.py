@@ -1,9 +1,10 @@
 """Weighted point-set measures on R^m.
 
-Every measure in the package is a finite support set with weights:
-probability and general non-negative measures (:class:`FiniteMeasure`),
-signed measures (:class:`SignedFiniteMeasure`), and the analytic standard
-normal reference (:class:`GaussianReference`) which is never discretized.
+Every measure in the package is a finite support set with weights: signed
+measures (:class:`SignedFiniteMeasure`), their non-negative subclass for
+probability and general measures (:class:`FiniteMeasure`), and the analytic
+standard normal reference (:class:`GaussianReference`) which is never
+discretized.
 Continuous inputs enter the system already discretized by the family
 constructors, so every integral below is a finite sum and push-forward /
 Radon-Nikodym manipulations are exact up to float rounding.
@@ -27,7 +28,6 @@ from scipy.special import ndtr
 from .errors import AbsoluteContinuityError
 
 SIGNIFICANT_DIGITS = 12
-PROBABILITY_MASS_TOL = 1e-12
 TANGENT_MASS_TOL = 1e-10
 
 PointMap = Callable[[np.ndarray], Union[np.ndarray, float]]
@@ -50,6 +50,21 @@ def quantize(values) -> np.ndarray:
     return out + 0.0  # fold -0.0 into +0.0
 
 
+def _key_groups(points):
+    """Sort rows by their quantized keys; the one test of support-point identity.
+
+    Returns ``order``, the lexicographic order of the (N, m) rows by key, and
+    ``fresh``, true at each position of that order where a new key starts.
+    """
+    keys = quantize(points)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    fresh = np.ones(keys.shape[0], dtype=bool)
+    if keys.shape[0] > 1:
+        fresh[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    return order, fresh
+
+
 def _canonical_support(points, weights):
     """Merge duplicate (quantized) points and sort lexicographically.
 
@@ -70,12 +85,7 @@ def _canonical_support(points, weights):
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
         raise ValueError("points and weights must be finite")
 
-    keys = quantize(pts)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    fresh = np.ones(keys.shape[0], dtype=bool)
-    if keys.shape[0] > 1:
-        fresh[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    order, fresh = _key_groups(pts)
     starts = np.flatnonzero(fresh)
     merged_pts = np.ascontiguousarray(pts[order][starts])
     merged_w = np.add.reduceat(w[order], starts)
@@ -85,62 +95,46 @@ def _canonical_support(points, weights):
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteMeasure:
-    """Non-negative measure with finite support on R^m.
+class SignedFiniteMeasure:
+    """Signed measure with finite support on R^m (weights of any sign).
 
-    ``points`` is (N, m), ``weights`` is (N,) with all entries >= 0. The
-    support is canonicalized on construction (see module docstring).
+    ``points`` is (N, m), ``weights`` is (N,). The support is canonicalized on
+    construction (see module docstring).
     """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
+        pts, w = _canonical_support(self.points, self.weights)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
+
+    @property
+    def size(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def total_mass(self) -> float:
+        return float(np.sum(self.weights))
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteMeasure(SignedFiniteMeasure):
+    """Non-negative measure with finite support on R^m: a signed measure with all weights >= 0."""
+
+    # canonicalizes itself rather than through super(): perfbench/tracer.py times
+    # each class's __post_init__ as one canonicalization, which must not nest
+    def __post_init__(self):
         if np.any(np.asarray(self.weights, dtype=float) < 0.0):
             raise ValueError("FiniteMeasure weights must be non-negative")
         pts, w = _canonical_support(self.points, self.weights)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
-    def is_probability(self, tol: float = PROBABILITY_MASS_TOL) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
-
-
-@dataclass(frozen=True, eq=False)
-class SignedFiniteMeasure:
-    """Signed measure with finite support on R^m (weights of any sign)."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pts, w = _canonical_support(self.points, self.weights)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,10 +187,8 @@ class TangentPair:
         if abs(s) > TANGENT_MASS_TOL:
             raise ValueError(f"direction weights must sum to 0, got {s!r}")
         if not np.array_equal(self.direction.points, self.base.points):
-            base_keys = {tuple(row) for row in quantize(self.base.points)}
-            for row in quantize(self.direction.points):
-                if tuple(row) not in base_keys:
-                    raise ValueError("direction support must lie inside base support")
+            if np.any(support_index(self.base, self.direction.points) < 0):
+                raise ValueError("direction support must lie inside base support")
 
 
 def push_forward(measure, point_map: PointMap):
@@ -226,11 +218,39 @@ def moments(measure):
     the weights are used as given, so the probability normalization is the
     caller's responsibility.
     """
-    mean = measure.weights @ measure.points
-    centered = measure.points - mean
-    cov = (measure.weights[:, None] * centered).T @ centered
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov
+    mean, c = centered(measure.weights, measure.points)
+    return mean, weighted_cov(measure.weights, c)
+
+
+def centered(weights, points):
+    """Weighted mean ``weights @ points`` of the rows, and the rows minus it."""
+    mean = weights @ points
+    return mean, points - mean
+
+
+def weighted_cov(weights, c) -> np.ndarray:
+    """Symmetrized ``sum_i w_i c_i c_i^T`` of centered rows ``c``."""
+    cov = (weights[:, None] * c).T @ c
+    return 0.5 * (cov + cov.T)
+
+
+def support_index(base, points) -> np.ndarray:
+    """Row of ``base`` holding each of ``points`` (same quantized key), or -1.
+
+    ``base`` is a measure, so its keys are distinct. Points of another
+    dimension than ``base`` are outside its support.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != base.dim:
+        return np.full(pts.shape[0], -1)
+    order, fresh = _key_groups(np.concatenate([base.points, pts]))
+    group = np.cumsum(fresh) - 1
+    base_row = np.full(group[-1] + 1, -1)
+    in_base = order < base.size
+    base_row[group[in_base]] = order[in_base]
+    rows = np.empty(order.shape[0], dtype=int)
+    rows[order] = base_row[group]
+    return rows[base.size :]
 
 
 def radon_nikodym(direction, base: FiniteMeasure) -> np.ndarray:
@@ -243,17 +263,12 @@ def radon_nikodym(direction, base: FiniteMeasure) -> np.ndarray:
     if np.array_equal(direction.points, base.points):
         num = np.asarray(direction.weights, dtype=float)
     else:
-        index = {tuple(row): i for i, row in enumerate(quantize(base.points))}
+        rows = support_index(base, direction.points)
+        inside = rows >= 0
+        if np.any(direction.weights[~inside] != 0.0):
+            raise AbsoluteContinuityError("signed measure has mass outside the base support")
         num = np.zeros(base.size)
-        for row, w in zip(quantize(direction.points), direction.weights):
-            i = index.get(tuple(row))
-            if i is None:
-                if w != 0.0:
-                    raise AbsoluteContinuityError(
-                        "signed measure has mass outside the base support"
-                    )
-                continue
-            num[i] = w
+        num[rows[inside]] = direction.weights[inside]
     positive = base.weights > 0.0
     if np.any(~positive & (num != 0.0)):
         raise AbsoluteContinuityError("signed measure has mass where the base weight is zero")
@@ -264,8 +279,6 @@ def radon_nikodym(direction, base: FiniteMeasure) -> np.ndarray:
 
 def almost_equal(m1, m2, tol: float = 1e-12) -> bool:
     """True when two measures share canonical support and weights within tol."""
-    if m1.size != m2.size or m1.dim != m2.dim:
-        return False
-    if not np.array_equal(quantize(m1.points), quantize(m2.points)):
+    if m1.size != m2.size or not np.array_equal(support_index(m1, m2.points), np.arange(m1.size)):
         return False
     return bool(np.max(np.abs(m1.weights - m2.weights)) <= tol)

@@ -25,7 +25,7 @@ from .expfam import (
     density_weights,
     log_partition_shift,
 )
-from .measures import radon_nikodym
+from .measures import centered, radon_nikodym
 
 FD3_STEP = 1e-3
 
@@ -36,11 +36,10 @@ def amari_chentsov(family: ExpFamily, theta, dirs: Sequence) -> float:
     if len(dirs) < 2:
         raise ValueError("need at least two directions")
     dw = density_weights(family, theta)
-    tau = dw @ family.stat_values
-    centered = family.stat_values - tau
+    c = centered(dw, family.stat_values)[1]
     prod = np.ones(family.base.size)
     for a in dirs:
-        prod *= centered @ a
+        prod *= c @ a
     return float(np.sum(dw * prod))
 
 

@@ -254,3 +254,31 @@ def test_option_as_flag_or_config_key(tmp_path, capsys, key):
     assert by_flag == by_config
     assert by_flag[0] in (0, 2) and _rows(by_flag[2] or by_flag[1])
     assert run([]) != by_flag  # the key took effect
+
+
+
+# below its minimum each value would otherwise surface as a traceback from the checks (k, trials) or
+# the random generator (seed), or as rows measured against a negative working cap (cap)
+@pytest.mark.parametrize(
+    "command, key, value, minimum",
+    [
+        ("tensor", "k", "0", 2),
+        ("tensor", "k", "1", 2),
+        ("uniqueness", "trials", "0", 1),
+        ("uniqueness", "seed", "-1", 0),
+        ("invariance", "cap", "0", 1),
+        ("invariance", "cap", "-5", 1),
+    ],
+)
+@pytest.mark.parametrize("by_config", [False, True])
+def test_integer_option_below_minimum_is_usage_error(tmp_path, capsys, command, key, value, minimum, by_config):
+    argv = [command, "--family", "bernoulli", "--theta", "0", "--n", "1,2"]
+    if by_config:
+        config = tmp_path / "run.ini"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        argv += ["--config", str(config)]
+    else:
+        argv.append(f"--{key}={value}")
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == f"usage error: {key} must be an integer >= {minimum}, got {value}"

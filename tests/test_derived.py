@@ -1,6 +1,7 @@
 import sys
 import threading
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -349,3 +350,29 @@ def test_product_measure_mass(families):
     p = density_measure(families["bernoulli"], 0.3)
     prod = iid_product_measure(families["bernoulli"], 0.3, 3)
     assert prod.total_mass == pytest.approx(p.total_mass**3, abs=1e-14)
+
+
+@pytest.mark.parametrize("key, m", [("bernoulli", 1), ("binomial", 4)])
+@pytest.mark.parametrize("theta", [0.0, 0.75, -1.5])
+def test_nef_distribution_matches_exact_convolution(families, key, m, theta):
+    # exact oracle: the n-fold convolution, in rationals, of the float Q_1 weights. Each float is a
+    # dyadic rational, so over the common denominator 2^e the convolution runs on Python integers.
+    family = families[key]
+    q1 = nef_base(family, theta)
+    assert q1.points.ravel().tolist() == list(range(m + 1))
+    ratios = [Fraction(float(w)) for w in q1.weights]
+    e = max(r.denominator for r in ratios)
+    base = [int(r * e) for r in ratios]
+    counts = [1]  # the weights of Q_n are counts / e^n
+    for n in range(1, 101):
+        counts = [
+            sum(counts[j - i] * b for i, b in enumerate(base) if 0 <= j - i < len(counts))
+            for j in range(len(counts) + m)
+        ]
+        if n not in (2, 7, 64, 100):
+            continue
+        qn = nef_distribution(family, theta, n)
+        assert np.array_equal(qn.points.ravel(), np.arange(m * n + 1) / n)
+        exact = [Fraction(c, e**n) for c in counts]
+        worst = max(abs(Fraction(float(w)) - x) / x for w, x in zip(qn.weights, exact))
+        assert worst <= Fraction(1, 10**14), float(worst)

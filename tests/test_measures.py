@@ -15,6 +15,7 @@ from infogeom.measures import (
     push_forward,
     quantize,
     radon_nikodym,
+    support_index,
 )
 
 
@@ -72,6 +73,48 @@ def test_radon_nikodym_outside_support_raises():
     a = SignedFiniteMeasure([[2.0]], [0.1])
     with pytest.raises(AbsoluteContinuityError):
         radon_nikodym(a, p)
+
+
+def test_radon_nikodym_strict_subset_direction_is_zero_filled():
+    p = FiniteMeasure([[0.0], [1.0], [2.0], [3.0]], [0.1, 0.2, 0.3, 0.4])
+    a = SignedFiniteMeasure([[3.0], [1.0]], [0.1, -0.1])
+    assert radon_nikodym(a, p).tolist() == [0.0, -0.1 / 0.2, 0.0, 0.1 / 0.4]
+    TangentPair(p, a)  # a zero-mass direction on part of the support is a tangent
+
+
+def test_support_identity_within_one_quantize_cell():
+    p = FiniteMeasure([[0.3], [1.0]], [0.5, 0.5])
+    a = SignedFiniteMeasure([[0.1 + 0.2]], [0.25])  # 0.1+0.2 != 0.3 in floats, same 12-digit key
+    assert not np.array_equal(a.points, p.points[:1])
+    assert support_index(p, a.points).tolist() == [0]
+    assert radon_nikodym(a, p).tolist() == [0.5, 0.0]
+
+
+def test_support_identity_two_dimensional_keys():
+    p = FiniteMeasure([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]], [0.25, 0.25, 0.25, 0.25])
+    a = SignedFiniteMeasure([[1.0, 1.0], [0.0, 1.0]], [0.05, -0.05])
+    assert support_index(p, [[1.0, 1.0], [0.0, 1.0], [1.0, 2.0]]).tolist() == [3, 1, -1]
+    assert radon_nikodym(a, p).tolist() == [0.0, -0.2, 0.0, 0.2]
+    TangentPair(p, a)
+
+
+def test_radon_nikodym_outside_base_mass_raises_zero_weight_ignored():
+    p = FiniteMeasure([[0.0], [1.0]], [0.5, 0.5])
+    with pytest.raises(AbsoluteContinuityError):
+        radon_nikodym(SignedFiniteMeasure([[1.0], [2.0]], [0.1, 0.1]), p)
+    zero_outside = SignedFiniteMeasure([[1.0], [2.0]], [0.1, 0.0])
+    assert radon_nikodym(zero_outside, p).tolist() == [0.0, 0.2]
+
+
+def test_direction_of_another_dimension_is_outside_the_support():
+    # (2, 2) rows must not be read as four 1-D points, which all lie in the base
+    p = FiniteMeasure([[0.0], [1.0], [2.0], [3.0]], [0.25, 0.25, 0.25, 0.25])
+    a = SignedFiniteMeasure([[0.0, 1.0], [2.0, 3.0]], [-0.1, 0.1])
+    assert support_index(p, a.points).tolist() == [-1, -1]
+    with pytest.raises(AbsoluteContinuityError):
+        radon_nikodym(a, p)
+    with pytest.raises(ValueError):
+        TangentPair(p, a)
 
 
 def test_negative_weights_rejected():
@@ -207,6 +250,23 @@ def test_radon_nikodym_integrates_to_direction_mass(data):
     a = SignedFiniteMeasure(prob.points, prob.weights * np.array(values))
     integral = float(np.sum(radon_nikodym(a, prob) * prob.weights))
     assert abs(integral - a.total_mass) <= 1e-12
+
+
+def _support_index_by_dict(base, points):
+    # per-point reference: a dict from quantized key to base row
+    index = {tuple(row): i for i, row in enumerate(quantize(base.points))}
+    return [index.get(tuple(row), -1) for row in quantize(points)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_support_index_finds_base_rows(data):
+    base = data.draw(finite_measures())
+    rows = np.array(data.draw(st.lists(st.integers(0, base.size - 1), max_size=20)), dtype=int)
+    assert support_index(base, base.points[rows]).tolist() == rows.tolist()
+    others = data.draw(st.lists(st.tuples(*([coords] * base.dim)), max_size=10))
+    queries = np.concatenate([base.points[rows], np.array(others, dtype=float).reshape(-1, base.dim)])
+    assert support_index(base, queries).tolist() == _support_index_by_dict(base, queries)
 
 
 def test_measures_are_immutable():
