@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -452,10 +453,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _attach_negative_values(argv: list) -> list:
+    """Join each flag to a following value that starts like a negative number (``--theta-lo=-3;-2``).
+
+    argparse reads such a token as a flag unless it is one plain number, and
+    every built-in box has a negative lower bound.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
         if args.command == "families":
             cmd_families()
             return 0

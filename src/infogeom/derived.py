@@ -8,11 +8,19 @@ cross-checks). Convolution growth is family dependent, so an explicit
 support cap turns blowup into :class:`SupportBlowupError` instead of a
 silent approximation.
 
-``nef_distribution`` memoizes: the doubling blocks ``Q_1^{*2^j}`` and every
-finished ``Q_n`` of the most recent (family, theta, support cap) are kept
-and reused, and a request for another key releases them before building
-anything. Each ``Q_n`` is composed in the same convolution order as a cold
-build, so a reused result is bitwise identical to a fresh one; measures are
+``nef_distribution`` memoizes at two levels. The support of ``Q_n`` does not
+depend on theta, only its weights do, so for the most recent (family,
+support cap) it keeps a merge plan (``measures.MergePlan``) per build step:
+each doubling block, each partial sum and each 1/n rescale is sorted once,
+at the first theta, and every other theta only sums its weights through the
+plan. For the most recent (family, theta, support cap) it keeps the doubling
+blocks ``Q_1^{*2^j}`` and every finished ``Q_n``. A request for another
+family or cap releases the plans, and one at another theta the builds,
+before anything is built, so one family's plans and one theta's builds are
+resident (the plans of a quadrature ``Q_3`` take 55 MB with int32 indices,
+22 MB of it point arrays that the measures built on them share). Each ``Q_n`` is composed in the same convolution order as a cold
+build and a plan replays the float work of the sort it recorded, so a
+reused or replayed result is bitwise identical to a fresh one; measures are
 immutable, so the function stays observably pure.
 """
 
@@ -25,7 +33,7 @@ import numpy as np
 
 from .errors import RankError, SupportBlowupError
 from .expfam import ExpFamily, TangentCoord, cov_statistic, density_measure, density_weights, mean_statistic
-from .measures import FiniteMeasure, SignedFiniteMeasure, TangentPair, push_forward
+from .measures import FiniteMeasure, MergePlan, SignedFiniteMeasure, TangentPair, push_forward
 
 SUPPORT_CAP = 2_000_000
 RANK_EPS = 1e-10
@@ -100,21 +108,28 @@ def _extension_size(n) -> int:
     return n
 
 
-def convolve(p: FiniteMeasure, q: FiniteMeasure, support_cap: int = SUPPORT_CAP) -> FiniteMeasure:
-    """Distribution of the sum of independent draws from p and q (exact)."""
+def _sum_plan(p: FiniteMeasure, q: FiniteMeasure, support_cap: int) -> MergePlan:
+    """Merge plan of the pairwise sums of p's and q's points; SupportBlowupError past the cap."""
     pairs = p.size * q.size
     if pairs > 4 * support_cap:
         raise SupportBlowupError(
             f"convolution needs {pairs} point pairs, above the working cap {4 * support_cap}"
         )
-    pts = (p.points[:, None, :] + q.points[None, :, :]).reshape(pairs, p.dim)
-    wts = np.outer(p.weights, q.weights).reshape(pairs)
-    out = FiniteMeasure(pts, wts)
-    if out.size > support_cap:
-        raise SupportBlowupError(
-            f"convolution support has {out.size} points, above the cap {support_cap}"
-        )
-    return out
+    plan = MergePlan.build((p.points[:, None, :] + q.points[None, :, :]).reshape(pairs, p.dim))
+    support = plan.points.shape[0]
+    if support > support_cap:
+        raise SupportBlowupError(f"convolution support has {support} points, above the cap {support_cap}")
+    return plan
+
+
+def _convolved(plan: MergePlan, p: FiniteMeasure, q: FiniteMeasure) -> FiniteMeasure:
+    """p convolved with q through the merge plan of their point sums."""
+    return FiniteMeasure(plan, np.outer(p.weights, q.weights).reshape(-1))
+
+
+def convolve(p: FiniteMeasure, q: FiniteMeasure, support_cap: int = SUPPORT_CAP) -> FiniteMeasure:
+    """Distribution of the sum of independent draws from p and q (exact)."""
+    return _convolved(_sum_plan(p, q, support_cap), p, q)
 
 
 def nef_base(family: ExpFamily, theta) -> FiniteMeasure:
@@ -122,41 +137,68 @@ def nef_base(family: ExpFamily, theta) -> FiniteMeasure:
     return FiniteMeasure(family.stat_values, density_weights(family, theta))
 
 
+class _MergePlans:
+    """Merge plans of one (family, support cap) by Q_n build step, shared by every theta."""
+
+    def __init__(self, family: ExpFamily, support_cap: int):
+        self.family = family
+        self.support_cap = support_cap
+        self.steps = {}  # (a, b): sums of Q_a and Q_b in the sum chart; n: the 1/n rescale
+
+    def serves(self, family: ExpFamily, support_cap: int) -> bool:
+        return self.family is family and self.support_cap == support_cap
+
+    def convolve(self, a: int, p: FiniteMeasure, b: int, q: FiniteMeasure) -> FiniteMeasure:
+        """p (a draws summed) convolved with q (b draws summed)."""
+        plan = self.steps.get((a, b))
+        if plan is None:
+            plan = self.steps[(a, b)] = _sum_plan(p, q, self.support_cap)
+        return _convolved(plan, p, q)
+
+    def mean(self, n: int, total: FiniteMeasure) -> FiniteMeasure:
+        """The sum of n draws rescaled by 1/n."""
+        plan = self.steps.get(n)
+        if plan is None:
+            plan = self.steps[n] = MergePlan.build(total.points / n)
+        return FiniteMeasure(plan, total.weights)
+
+
 class _QnLadder:
     """Q_n builds of one (family, theta, support cap): doubling blocks and results."""
 
-    def __init__(self, family: ExpFamily, theta, theta_key: bytes, support_cap: int):
-        self.family = family
+    def __init__(self, plans: _MergePlans, theta, theta_key: bytes):
+        self.plans = plans
         self.theta_key = theta_key
-        self.support_cap = support_cap
-        q1 = nef_base(family, theta)
+        q1 = nef_base(plans.family, theta)
         self.blocks = [q1]  # blocks[j] is Q_1^{*2^j}, grown on demand
         self.finished = {1: q1}
 
-    def serves(self, family: ExpFamily, theta_key: bytes, support_cap: int) -> bool:
-        return self.family is family and self.theta_key == theta_key and self.support_cap == support_cap
+    def serves(self, plans: _MergePlans, theta_key: bytes) -> bool:
+        return self.plans is plans and self.theta_key == theta_key
 
     def _block(self, j: int) -> FiniteMeasure:
         while len(self.blocks) <= j:
-            last = self.blocks[-1]
-            self.blocks.append(convolve(last, last, self.support_cap))
+            last, half = self.blocks[-1], 1 << (len(self.blocks) - 1)
+            self.blocks.append(self.plans.convolve(half, last, half, last))
         return self.blocks[j]
 
     def get(self, n: int) -> FiniteMeasure:
         qn = self.finished.get(n)
         if qn is None:
-            total = None
+            total, m = None, 0  # total is Q_1^{*m}
             j, k = 0, n
             while k:
                 if k & 1:
                     block = self._block(j)
-                    total = block if total is None else convolve(total, block, self.support_cap)
+                    total = block if total is None else self.plans.convolve(m, total, 1 << j, block)
+                    m += 1 << j
                 j, k = j + 1, k >> 1
-            qn = self.finished[n] = FiniteMeasure(total.points / n, total.weights)
+            qn = self.finished[n] = self.plans.mean(n, total)
         return qn
 
 
-_ladder = None  # the one live _QnLadder, read and replaced under _ladder_lock
+_plans = None  # the one live _MergePlans and _QnLadder, read and replaced under _ladder_lock
+_ladder = None
 _ladder_lock = threading.Lock()
 
 
@@ -165,16 +207,20 @@ def nef_distribution(family: ExpFamily, theta, n: int, support_cap: int = SUPPOR
 
     The n-fold sum is built by exact pairwise convolutions (organized as
     binary exponentiation, which composes the same pairwise convolutions in
-    a different order) and the support is then scaled by 1/n. Builds are
-    shared per (family, theta, support_cap); see the module docstring.
+    a different order) and the support is then scaled by 1/n. Merge plans
+    are shared per (family, support_cap) and builds per (family, theta,
+    support_cap); see the module docstring.
     """
-    global _ladder
+    global _plans, _ladder
     n = _extension_size(n)
     theta_key = np.asarray(theta, dtype=float).reshape(-1).tobytes()
     with _ladder_lock:
-        if _ladder is None or not _ladder.serves(family, theta_key, support_cap):
+        if _plans is None or not _plans.serves(family, support_cap):
+            _plans = _ladder = None  # release the previous family's plans and builds before building
+            _plans = _MergePlans(family, support_cap)
+        if _ladder is None or not _ladder.serves(_plans, theta_key):
             _ladder = None  # release the previous theta's builds before building
-            _ladder = _QnLadder(family, theta, theta_key, support_cap)
+            _ladder = _QnLadder(_plans, theta, theta_key)
         return _ladder.get(n)
 
 
@@ -186,7 +232,7 @@ def nef_tangent(family: ExpFamily, u: TangentCoord, n: int, support_cap: int = S
     """Tangent pair (Q_n, A_n) with dA_n(y) = n (a . (y - tau)) dQ_n(y)."""
     qn = nef_distribution(family, u.theta, n, support_cap)
     tau = mean_statistic(family, u.theta)
-    direction = SignedFiniteMeasure(qn.points, _tangent_weights(qn, tau, u.a, int(n)))
+    direction = SignedFiniteMeasure(qn.support, _tangent_weights(qn, tau, u.a, int(n)))
     return TangentPair(qn, direction)
 
 

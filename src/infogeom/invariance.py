@@ -139,7 +139,7 @@ def check_A2(
     n = int(n)
     pair_u = nef_tangent(family, u, n, support_cap)
     tau = mean_statistic(family, u.theta)
-    dir_v = SignedFiniteMeasure(pair_u.base.points, _tangent_weights(pair_u.base, tau, v.a, n))
+    dir_v = SignedFiniteMeasure(pair_u.base.support, _tangent_weights(pair_u.base, tau, v.a, n))
     ra = radon_nikodym(pair_u.direction, pair_u.base)
     rb = radon_nikodym(dir_v, pair_u.base)
     lhs = float(np.sum(pair_u.base.weights * ra * rb))
@@ -292,15 +292,16 @@ def ks_to_standard_normal(marginal) -> float:
 
     For a finite measure this is the exact sup-distance between its step CDF
     and the analytic normal CDF, attained at support points. The analytic
-    reference itself gives 0.
+    reference itself gives 0. A finite measure's one-dimensional support is
+    canonical, hence strictly increasing (quantization is monotone), so the
+    step CDF is the cumulative sum of the weights as stored.
     """
     if marginal.dim != 1:
         raise ValueError("the KS diagnostic compares one-dimensional marginals")
     if isinstance(marginal, GaussianReference):
         return 0.0
-    order = np.argsort(marginal.points[:, 0], kind="stable")
-    pts = marginal.points[order, 0]
-    wts = marginal.weights[order]
+    pts = marginal.points[:, 0]
+    wts = marginal.weights
     upper = np.cumsum(wts)
     lower = upper - wts
     cdf = GaussianReference.cdf(pts)

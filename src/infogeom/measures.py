@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.special import ndtr
@@ -65,41 +65,83 @@ def _key_groups(points):
     return order, fresh
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class MergePlan:
+    """How a list of points merges into a canonical support, kept to merge new weights.
+
+    ``MergePlan.build(points)`` sorts (N, m) points once by ``_key_groups``:
+    ``points`` is the canonical support (the first point of each key group,
+    in key order), ``order`` the sort of the input and ``starts`` where each
+    group begins in it (int32 below 2**31 input points). ``merge(weights)``
+    sums weights given in input order over those groups: the float work of
+    a fresh canonicalization, in the same order, so a measure built from a
+    plan is bitwise identical to one built from the points. A plan with
+    ``order`` None keeps points that are canonical already; ``support`` of a
+    measure gives one. Pass a plan as the ``points`` of a measure to build it
+    without sorting.
+    """
+
+    points: np.ndarray
+    order: Optional[np.ndarray]
+    starts: Optional[np.ndarray]
+
+    @classmethod
+    def build(cls, points) -> "MergePlan":
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1:
+            pts = pts.reshape(-1, 1)
+        if pts.ndim != 2:
+            raise ValueError("points must be a (N, m) array")
+        if pts.shape[0] == 0:
+            raise ValueError("a measure needs at least one support point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points and weights must be finite")
+        order, fresh = _key_groups(pts)
+        starts = np.flatnonzero(fresh)
+        index = np.int32 if pts.shape[0] < 2**31 else np.intp
+        canonical = _frozen(np.ascontiguousarray(pts[order[starts]]))
+        return cls(canonical, _frozen(order.astype(index)), _frozen(starts.astype(index)))
+
+    @property
+    def shape(self) -> tuple:
+        """Shape of the points the plan merges, (N, m)."""
+        return (self.points.shape[0] if self.order is None else self.order.shape[0], self.points.shape[1])
+
+    def merge(self, weights: np.ndarray) -> np.ndarray:
+        """Weights of ``points``: the (N,) input weights summed over each group."""
+        if self.order is None:
+            return _frozen(np.array(weights, dtype=float))
+        return _frozen(np.add.reduceat(weights[self.order], self.starts))
+
+
 def _canonical_support(points, weights):
     """Merge duplicate (quantized) points and sort lexicographically.
 
     Returns (points, weights) with the representative coordinates taken from
     the first occurrence inside each merge group, so exact lattice values are
-    preserved bit for bit.
+    preserved bit for bit. ``points`` may be a :class:`MergePlan`, which
+    merges without sorting.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2:
-        raise ValueError("points must be a (N, m) array")
+    plan = points if isinstance(points, MergePlan) else MergePlan.build(points)
     w = np.asarray(weights, dtype=float).reshape(-1)
-    if pts.shape[0] != w.shape[0]:
+    if plan.shape[0] != w.shape[0]:
         raise ValueError("points and weights must have the same length")
-    if pts.shape[0] == 0:
-        raise ValueError("a measure needs at least one support point")
-    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
+    if not np.all(np.isfinite(w)):
         raise ValueError("points and weights must be finite")
-
-    order, fresh = _key_groups(pts)
-    starts = np.flatnonzero(fresh)
-    merged_pts = np.ascontiguousarray(pts[order][starts])
-    merged_w = np.add.reduceat(w[order], starts)
-    merged_pts.setflags(write=False)
-    merged_w.setflags(write=False)
-    return merged_pts, merged_w
+    return plan.points, plan.merge(w)
 
 
 @dataclass(frozen=True, eq=False)
 class SignedFiniteMeasure:
     """Signed measure with finite support on R^m (weights of any sign).
 
-    ``points`` is (N, m), ``weights`` is (N,). The support is canonicalized on
-    construction (see module docstring).
+    ``points`` is (N, m) or a :class:`MergePlan`, ``weights`` is (N,). The
+    support is canonicalized on construction (see module docstring).
     """
 
     points: np.ndarray
@@ -121,6 +163,11 @@ class SignedFiniteMeasure:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
+
+    @property
+    def support(self) -> MergePlan:
+        """Plan of this (canonical) support: a measure built on it shares ``points`` and skips the sort."""
+        return MergePlan(self.points, None, None)
 
 
 @dataclass(frozen=True, eq=False)

@@ -168,25 +168,41 @@ def test_rows_sorted_deterministically(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, convolutions",
+    "argv, sorts",
     [
-        (["invariance", "--family", "poisson_trunc", "--n", "1,2,4,8"], 15),
-        (["clt", "--family", "binomial", "--n", "1,4,16,64"], 30),
-        (["tensor", "--family", "bernoulli", "--n", "1,2,3,4"], 15),
+        (["invariance", "--family", "poisson_trunc", "--n", "1,2,4,8"], 3),
+        (["clt", "--family", "binomial", "--n", "1,4,16,64"], 6),
+        (["tensor", "--family", "bernoulli", "--n", "1,2,3,4"], 3),
     ],
 )
-def test_q_n_builds_are_shared_within_theta(monkeypatch, tmp_path, argv, convolutions):
-    # one doubling ladder per theta: every block and every Q_n is convolved once
+def test_q_n_steps_are_sorted_once_per_family(monkeypatch, tmp_path, argv, sorts):
+    # one merge plan per convolution step of the family, replayed at every other theta
     calls = []
-    original = derived.convolve
+    original = derived._sum_plan
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(derived, "convolve", counting)
+    monkeypatch.setattr(derived, "_sum_plan", counting)
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) in (0, 2)
-    assert len(calls) == convolutions
+    assert len(calls) == sorts
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clt", "--family", "categorical", "--n", "1,2,4,8,16"],
+        ["invariance", "--family", "exponential_dist", "--n", "1,2"],
+    ],
+)
+def test_replayed_q_n_writes_cold_bytes(monkeypatch, tmp_path, argv):
+    warm, cold = tmp_path / "warm.csv", tmp_path / "cold.csv"
+    assert main([*argv, "--out", str(warm)]) in (0, 2)
+    # a store that never serves is rebuilt empty at every nef_distribution call: every Q_n is sorted afresh
+    monkeypatch.setattr(derived._MergePlans, "serves", lambda self, family, support_cap: False)
+    assert main([*argv, "--out", str(cold)]) in (0, 2)
+    assert warm.read_bytes() == cold.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -255,6 +271,22 @@ def test_option_as_flag_or_config_key(tmp_path, capsys, key):
     assert by_flag[0] in (0, 2) and _rows(by_flag[2] or by_flag[1])
     assert run([]) != by_flag  # the key took effect
 
+
+
+@pytest.mark.parametrize("key, value", [("theta_lo", "-3;-2"), ("theta", "-0.5;1")])
+def test_negative_value_after_its_flag(tmp_path, capsys, key, value):
+    # argparse alone reads '-3;-2' as a flag and exits 1 with 'expected one argument'
+    settings = {"family": "categorical", "theta_lo": "-3;-2", "theta_hi": "2;4", "theta": "-0.5;1", "n": "1,2"}
+    del settings[key]
+    argv = ["invariance", *(f"--{k.replace('_', '-')}={v}" for k, v in settings.items())]
+    flag = f"--{key.replace('_', '-')}"
+    config = tmp_path / "run.ini"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    separate = _run(capsys, [*argv, flag, value])
+    assert separate == _run(capsys, [*argv, f"{flag}={value}"])
+    assert separate == _run(capsys, [*argv, "--config", str(config)])
+    assert separate[0] == 0
+    assert {row["theta"] for row in _rows(separate[1])} == {"-0.5;1"}
 
 
 # below its minimum each value would otherwise surface as a traceback from the checks (k, trials) or

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import infogeom.derived as derived
+import infogeom.invariance as invariance
 from infogeom.derived import (
     AffineMap,
     affine_pushforward_pair,
@@ -27,6 +29,7 @@ from infogeom.expfam import (
     make_family,
     mean_statistic,
 )
+from infogeom.invariance import check_A2
 from infogeom.measures import FiniteMeasure, almost_equal, moments, push_forward, quantize, radon_nikodym
 
 
@@ -107,10 +110,15 @@ def _bitwise_equal(p, q):
 
 
 def _cold(family, theta, n):
-    """Q_n built from nothing: a request at another theta drops every reusable build."""
-    assert not np.array_equal(np.ravel(theta), family.theta_grid[0])
-    nef_distribution(family, family.theta_grid[0], 1)
-    return nef_distribution(family, theta, n)
+    """Q_n built from nothing by explicit convolve calls, in the ladder's binary-exponentiation order."""
+    total, block, k = None, nef_base(family, theta), n
+    while k:
+        if k & 1:
+            total = block if total is None else convolve(total, block)
+        k >>= 1
+        if k:
+            block = convolve(block, block)
+    return total if n == 1 else FiniteMeasure(total.points / n, total.weights)
 
 
 @pytest.mark.parametrize("key", ["gauss_known_var", "bernoulli"])
@@ -178,6 +186,57 @@ def test_nef_distribution_threads_get_their_own_theta(families):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+@pytest.mark.parametrize(
+    "key, n", [("gauss_known_var", 3), ("exponential_dist", 3), ("categorical", 16), ("binomial", 64)]
+)
+def test_replayed_q_n_is_bitwise_cold(key, n):
+    # a fresh family object: the first grid theta sorts every step, the other four replay its plans
+    f = make_family(key)
+    replayed = [nef_distribution(f, theta, n) for theta in f.theta_grid]
+    assert derived._plans.family is f
+    plans = dict(derived._plans.steps)
+    for theta, qn in zip(f.theta_grid, replayed):
+        assert _bitwise_equal(qn, _cold(f, theta, n))
+    assert all(derived._plans.steps[step] is plan for step, plan in plans.items())
+
+
+def test_merge_plans_keep_the_cap(families):
+    f = families["bernoulli"]
+    with pytest.raises(SupportBlowupError) as cold:
+        nef_distribution(make_family("bernoulli"), 0.5, 64, support_cap=10)
+    nef_distribution(f, 0.0, 64)  # plans of every step at the default cap
+    with pytest.raises(SupportBlowupError) as warm:
+        nef_distribution(f, 0.5, 64, support_cap=10)
+    assert str(warm.value) == str(cold.value)
+
+
+def test_merge_plans_keep_one_family(families):
+    f, g = families["binomial"], families["poisson_trunc"]
+    nef_distribution(f, f.theta_grid[1], 8)
+    ref = weakref.ref(derived._plans.steps[(1, 1)])
+    nef_distribution(f, f.theta_grid[2], 8)
+    assert ref() is derived._plans.steps[(1, 1)]
+    nef_distribution(g, g.theta_grid[1], 8)
+    assert ref() is None
+
+
+def test_directions_share_the_q_n_support(families, monkeypatch):
+    f = families["poisson_trunc"]
+    u, v = TangentCoord(f.theta_grid[1], [1.0]), TangentCoord(f.theta_grid[1], [-0.5])
+    pair = nef_tangent(f, u, 4)
+    assert pair.direction.points is pair.base.points
+    shared = []
+    original = invariance.radon_nikodym
+
+    def recording(direction, base):
+        shared.append(direction.points is base.points)
+        return original(direction, base)
+
+    monkeypatch.setattr(invariance, "radon_nikodym", recording)
+    check_A2(f, u, v, 4)
+    assert shared == [True, True]
 
 
 def test_nef_tangent_examples(families):

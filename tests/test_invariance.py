@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from infogeom.errors import PreconditionError, RankError
@@ -30,7 +32,7 @@ from infogeom.invariance import (
     recover_constant,
     uniqueness_residual,
 )
-from infogeom.measures import GaussianReference
+from infogeom.measures import FiniteMeasure, GaussianReference
 
 LOG3 = math.log(3.0)
 
@@ -134,6 +136,34 @@ def test_check_A3_affine_report(families):
 
 def test_ks_of_reference_to_itself_is_zero():
     assert ks_to_standard_normal(GaussianReference(1)) == 0.0
+
+
+def _ks_after_argsort(marginal):
+    # the former body of ks_to_standard_normal, which sorted the points again
+    order = np.argsort(marginal.points[:, 0], kind="stable")
+    pts, wts = marginal.points[order, 0], marginal.weights[order]
+    upper = np.cumsum(wts)
+    lower = upper - wts
+    cdf = ndtr(pts)
+    return float(max(np.max(np.abs(upper - cdf)), np.max(np.abs(lower - cdf))))
+
+
+# values that straddle decade boundaries and rounding cells of the 12-digit keys, with repeats to merge
+_near_decades = st.builds(
+    lambda sign, k, rel: sign * 10.0**k * (1.0 + rel),
+    st.sampled_from([-1.0, 1.0]),
+    st.integers(-4, 2),
+    st.floats(-1e-11, 1e-11),
+)
+_coords = st.one_of(st.floats(-6.0, 6.0), _near_decades, st.sampled_from([0.0, -0.0, 0.1 + 0.2, 0.3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_coords, st.floats(1e-6, 1.0)), min_size=1, max_size=40))
+def test_ks_reads_canonical_points_in_order(draws):
+    marginal = FiniteMeasure([[x] for x, _ in draws], [w for _, w in draws])
+    assert np.all(np.diff(marginal.points[:, 0]) > 0.0)
+    assert ks_to_standard_normal(marginal) == _ks_after_argsort(marginal)
 
 
 def test_ks_binomial_oracle_n100(families):
