@@ -8,20 +8,20 @@ cross-checks). Convolution growth is family dependent, so an explicit
 support cap turns blowup into :class:`SupportBlowupError` instead of a
 silent approximation.
 
-``nef_distribution`` memoizes at two levels. The support of ``Q_n`` does not
-depend on theta, only its weights do, so for the most recent (family,
-support cap) it keeps a merge plan (``measures.MergePlan``) per build step:
-each doubling block, each partial sum and each 1/n rescale is sorted once,
-at the first theta, and every other theta only sums its weights through the
-plan. For the most recent (family, theta, support cap) it keeps the doubling
-blocks ``Q_1^{*2^j}`` and every finished ``Q_n``. A request for another
-family or cap releases the plans, and one at another theta the builds,
-before anything is built, so one family's plans and one theta's builds are
-resident (the plans of a quadrature ``Q_3`` take 55 MB with int32 indices,
-22 MB of it point arrays that the measures built on them share). Each ``Q_n`` is composed in the same convolution order as a cold
-build and a plan replays the float work of the sort it recorded, so a
-reused or replayed result is bitwise identical to a fresh one; measures are
-immutable, so the function stays observably pure.
+``nef_distribution`` keeps one store of ``Q_n`` builds, for the most recent
+(family, support cap). The support of ``Q_n`` does not depend on theta, only
+its weights do, so the store keeps a merge plan (``measures.MergePlan``) per
+build step: each sum ``Q_1^{*a} * Q_1^{*b}`` and each 1/n rescale is sorted
+once, at the first theta, and every other theta only sums its weights
+through the plan. For the most recent theta it keeps every sum ``Q_1^{*m}``
+and every finished ``Q_n``. A request for another family or cap drops the
+store, and one at another theta its sums and means, before anything is
+built (the plans of a quadrature ``Q_3`` take 55 MB with int32 indices, 22
+MB of it point arrays that the measures built on them share). ``Q_1^{*m}``
+is always composed from the low bits of m up, in the order of a cold
+binary-exponentiation build, and a plan replays the float work of the sort
+it recorded, so a reused or replayed result is bitwise identical to a fresh
+one; measures are immutable, so the function stays observably pure.
 """
 
 from __future__ import annotations
@@ -137,69 +137,44 @@ def nef_base(family: ExpFamily, theta) -> FiniteMeasure:
     return FiniteMeasure(family.stat_values, density_weights(family, theta))
 
 
-class _MergePlans:
-    """Merge plans of one (family, support cap) by Q_n build step, shared by every theta."""
+class _QnStore:
+    """Q_n builds of one (family, support cap): merge plans for every theta, sums and means for one."""
 
     def __init__(self, family: ExpFamily, support_cap: int):
         self.family = family
         self.support_cap = support_cap
-        self.steps = {}  # (a, b): sums of Q_a and Q_b in the sum chart; n: the 1/n rescale
+        self.plans = {}  # (a, b): the sum of Q_1^{*a} and Q_1^{*b}; n: the 1/n rescale
+        self.theta_key = None  # the theta that sums and means belong to
+        self.sums = {}  # m: Q_1^{*m} in the sum chart
+        self.means = {}  # n: the finished Q_n
 
-    def serves(self, family: ExpFamily, support_cap: int) -> bool:
-        return self.family is family and self.support_cap == support_cap
+    def _sum(self, m: int) -> FiniteMeasure:
+        """Q_1^{*m}: a doubling 2^j = 2^(j-1) + 2^(j-1), else m's low bits plus its top bit 2^j."""
+        total = self.sums.get(m)
+        if total is None:
+            top = 1 << (m.bit_length() - 1)
+            a, b = (top // 2, top // 2) if m == top else (m - top, top)
+            p, q = self._sum(a), self._sum(b)
+            plan = self.plans.get((a, b))
+            if plan is None:
+                plan = self.plans[(a, b)] = _sum_plan(p, q, self.support_cap)
+            total = self.sums[m] = _convolved(plan, p, q)
+        return total
 
-    def convolve(self, a: int, p: FiniteMeasure, b: int, q: FiniteMeasure) -> FiniteMeasure:
-        """p (a draws summed) convolved with q (b draws summed)."""
-        plan = self.steps.get((a, b))
-        if plan is None:
-            plan = self.steps[(a, b)] = _sum_plan(p, q, self.support_cap)
-        return _convolved(plan, p, q)
-
-    def mean(self, n: int, total: FiniteMeasure) -> FiniteMeasure:
-        """The sum of n draws rescaled by 1/n."""
-        plan = self.steps.get(n)
-        if plan is None:
-            plan = self.steps[n] = MergePlan.build(total.points / n)
-        return FiniteMeasure(plan, total.weights)
-
-
-class _QnLadder:
-    """Q_n builds of one (family, theta, support cap): doubling blocks and results."""
-
-    def __init__(self, plans: _MergePlans, theta, theta_key: bytes):
-        self.plans = plans
-        self.theta_key = theta_key
-        q1 = nef_base(plans.family, theta)
-        self.blocks = [q1]  # blocks[j] is Q_1^{*2^j}, grown on demand
-        self.finished = {1: q1}
-
-    def serves(self, plans: _MergePlans, theta_key: bytes) -> bool:
-        return self.plans is plans and self.theta_key == theta_key
-
-    def _block(self, j: int) -> FiniteMeasure:
-        while len(self.blocks) <= j:
-            last, half = self.blocks[-1], 1 << (len(self.blocks) - 1)
-            self.blocks.append(self.plans.convolve(half, last, half, last))
-        return self.blocks[j]
-
-    def get(self, n: int) -> FiniteMeasure:
-        qn = self.finished.get(n)
+    def mean(self, n: int) -> FiniteMeasure:
+        """Q_n: the sum of n draws rescaled by 1/n."""
+        qn = self.means.get(n)
         if qn is None:
-            total, m = None, 0  # total is Q_1^{*m}
-            j, k = 0, n
-            while k:
-                if k & 1:
-                    block = self._block(j)
-                    total = block if total is None else self.plans.convolve(m, total, 1 << j, block)
-                    m += 1 << j
-                j, k = j + 1, k >> 1
-            qn = self.finished[n] = self.plans.mean(n, total)
+            total = self._sum(n)
+            plan = self.plans.get(n)
+            if plan is None:
+                plan = self.plans[n] = MergePlan.build(total.points / n)
+            qn = self.means[n] = FiniteMeasure(plan, total.weights)
         return qn
 
 
-_plans = None  # the one live _MergePlans and _QnLadder, read and replaced under _ladder_lock
-_ladder = None
-_ladder_lock = threading.Lock()
+_store = None  # the one live _QnStore, read and replaced under _store_lock
+_store_lock = threading.Lock()
 
 
 def nef_distribution(family: ExpFamily, theta, n: int, support_cap: int = SUPPORT_CAP) -> FiniteMeasure:
@@ -211,17 +186,18 @@ def nef_distribution(family: ExpFamily, theta, n: int, support_cap: int = SUPPOR
     are shared per (family, support_cap) and builds per (family, theta,
     support_cap); see the module docstring.
     """
-    global _plans, _ladder
+    global _store
     n = _extension_size(n)
     theta_key = np.asarray(theta, dtype=float).reshape(-1).tobytes()
-    with _ladder_lock:
-        if _plans is None or not _plans.serves(family, support_cap):
-            _plans = _ladder = None  # release the previous family's plans and builds before building
-            _plans = _MergePlans(family, support_cap)
-        if _ladder is None or not _ladder.serves(_plans, theta_key):
-            _ladder = None  # release the previous theta's builds before building
-            _ladder = _QnLadder(_plans, theta, theta_key)
-        return _ladder.get(n)
+    with _store_lock:
+        if _store is None or _store.family is not family or _store.support_cap != support_cap:
+            _store = None  # release the previous family's plans and builds before building
+            _store = _QnStore(family, support_cap)
+        if _store.theta_key != theta_key:
+            _store.theta_key = _store.sums = _store.means = None  # release the previous theta's builds first
+            q1 = nef_base(family, theta)
+            _store.theta_key, _store.sums, _store.means = theta_key, {1: q1}, {1: q1}
+        return _store.mean(n)
 
 
 def _tangent_weights(qn: FiniteMeasure, tau: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:

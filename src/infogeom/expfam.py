@@ -259,23 +259,18 @@ def _fisher_route_c(family: ExpFamily, theta) -> np.ndarray:
     if not family.theta_domain.contains(t, margin=2.0 * h):
         raise DomainError("route C needs a finite-difference neighborhood inside the domain")
     d = family.order
-    dw = density_weights(family, t)
-
-    def shifted(delta):
-        # psi(t + delta) - psi(t); constant offsets cancel in the stencils
-        return _tilted_log_mass(family.stat_values @ delta, dw)
-
     mat = np.empty((d, d))
     eye = np.eye(d)
-    g0 = shifted(np.zeros(d))
+    g0 = log_partition_shift(family, t, np.zeros(d))
     for i in range(d):
-        mat[i, i] = (shifted(h * eye[i]) - 2.0 * g0 + shifted(-h * eye[i])) / (h * h)
+        plus, minus = log_partition_shift(family, t, h * eye[i]), log_partition_shift(family, t, -h * eye[i])
+        mat[i, i] = (plus - 2.0 * g0 + minus) / (h * h)
     for i in range(d):
         for j in range(i + 1, d):
-            pp = shifted(h * eye[i] + h * eye[j])
-            pm = shifted(h * eye[i] - h * eye[j])
-            mp = shifted(-h * eye[i] + h * eye[j])
-            mm = shifted(-h * eye[i] - h * eye[j])
+            pp = log_partition_shift(family, t, h * eye[i] + h * eye[j])
+            pm = log_partition_shift(family, t, h * eye[i] - h * eye[j])
+            mp = log_partition_shift(family, t, -h * eye[i] + h * eye[j])
+            mm = log_partition_shift(family, t, -h * eye[i] - h * eye[j])
             mat[i, j] = mat[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
     return mat
 
@@ -337,8 +332,8 @@ def _binomial(m):
 
 
 def _categorical(k):
-    points = np.eye(k)
-    return points, np.ones(k), points[:, : k - 1]
+    points = np.eye(k)[::-1]  # one-hot rows in canonical (lexicographic) order
+    return points, np.ones(k), points[:, :0:-1]  # T(x) = (x_k, ..., x_2)
 
 
 def _poisson_trunc(N):

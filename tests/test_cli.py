@@ -189,6 +189,16 @@ def test_q_n_steps_are_sorted_once_per_family(monkeypatch, tmp_path, argv, sorts
     assert len(calls) == sorts
 
 
+class _DroppingStore:
+    """Stands in for derived._store_lock in single-threaded tests and empties the Q_n store on entry."""
+
+    def __enter__(self):
+        derived._store = None
+
+    def __exit__(self, *exc):
+        return False
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -199,8 +209,8 @@ def test_q_n_steps_are_sorted_once_per_family(monkeypatch, tmp_path, argv, sorts
 def test_replayed_q_n_writes_cold_bytes(monkeypatch, tmp_path, argv):
     warm, cold = tmp_path / "warm.csv", tmp_path / "cold.csv"
     assert main([*argv, "--out", str(warm)]) in (0, 2)
-    # a store that never serves is rebuilt empty at every nef_distribution call: every Q_n is sorted afresh
-    monkeypatch.setattr(derived._MergePlans, "serves", lambda self, family, support_cap: False)
+    # a lock that drops the store on entry: every nef_distribution call starts empty and sorts every Q_n afresh
+    monkeypatch.setattr(derived, "_store_lock", _DroppingStore())
     assert main([*argv, "--out", str(cold)]) in (0, 2)
     assert warm.read_bytes() == cold.read_bytes()
 

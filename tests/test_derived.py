@@ -20,7 +20,7 @@ from infogeom.derived import (
     standardizing_map,
     sym_sqrt,
 )
-from infogeom.errors import RankError, SupportBlowupError
+from infogeom.errors import DomainError, RankError, SupportBlowupError
 from infogeom.expfam import (
     TangentCoord,
     affine_transform_statistic,
@@ -122,14 +122,20 @@ def _cold(family, theta, n):
 
 
 @pytest.mark.parametrize("key", ["gauss_known_var", "bernoulli"])
-def test_nef_distribution_reuse_is_bitwise_cold(families, key):
+def test_nef_distribution_reuse_is_bitwise_cold(families, key, monkeypatch):
     f = families[key]
     theta = f.theta_grid[2]
-    order = (5, 1, 8, 3, 2, 4) if key == "bernoulli" else (3, 1, 2)
+    order = (5, 1, 8, 3, 7, 11, 2, 4) if key == "bernoulli" else (3, 1, 2)
+    summands = []
+    original = derived._convolved
+    monkeypatch.setattr(derived, "_convolved", lambda plan, p, q: summands.append(p) or original(plan, p, q))
     warm = {n: nef_distribution(f, theta, n) for n in order}
     assert all(nef_distribution(f, theta, n) is warm[n] for n in order)
     for n in order:
         assert _bitwise_equal(warm[n], _cold(f, theta, n))
+    # Q_7 = Q_1^{*3} + Q_1^{*4} and Q_11 = Q_1^{*3} + Q_1^{*8} both reuse the Q_1^{*3} built for n = 3
+    three = derived._store.sums[3]
+    assert sum(p is three for p in summands) == (2 if key == "bernoulli" else 0)
 
 
 def test_nef_distribution_separates_family_objects():
@@ -159,6 +165,15 @@ def test_nef_distribution_keeps_one_theta(families):
     assert ref() is not None
     nef_distribution(f, f.theta_grid[2], 8)
     assert ref() is None
+
+
+def test_nef_distribution_recovers_from_a_failed_theta(families):
+    # a theta whose Q_1 cannot be built must leave no half-replaced builds behind
+    f = families["binomial"]
+    q = nef_distribution(f, f.theta_grid[1], 4)
+    with pytest.raises(DomainError):
+        nef_distribution(f, 50.0, 4)
+    assert _bitwise_equal(nef_distribution(f, f.theta_grid[1], 4), q)
 
 
 def test_nef_distribution_threads_get_their_own_theta(families):
@@ -195,11 +210,11 @@ def test_replayed_q_n_is_bitwise_cold(key, n):
     # a fresh family object: the first grid theta sorts every step, the other four replay its plans
     f = make_family(key)
     replayed = [nef_distribution(f, theta, n) for theta in f.theta_grid]
-    assert derived._plans.family is f
-    plans = dict(derived._plans.steps)
+    assert derived._store.family is f
+    plans = dict(derived._store.plans)
     for theta, qn in zip(f.theta_grid, replayed):
         assert _bitwise_equal(qn, _cold(f, theta, n))
-    assert all(derived._plans.steps[step] is plan for step, plan in plans.items())
+    assert all(derived._store.plans[step] is plan for step, plan in plans.items())
 
 
 def test_merge_plans_keep_the_cap(families):
@@ -215,9 +230,9 @@ def test_merge_plans_keep_the_cap(families):
 def test_merge_plans_keep_one_family(families):
     f, g = families["binomial"], families["poisson_trunc"]
     nef_distribution(f, f.theta_grid[1], 8)
-    ref = weakref.ref(derived._plans.steps[(1, 1)])
+    ref = weakref.ref(derived._store.plans[(1, 1)])
     nef_distribution(f, f.theta_grid[2], 8)
-    assert ref() is derived._plans.steps[(1, 1)]
+    assert ref() is derived._store.plans[(1, 1)]
     nef_distribution(g, g.theta_grid[1], 8)
     assert ref() is None
 

@@ -6,6 +6,7 @@ import pytest
 
 from infogeom.errors import BadParamError, DomainError, RankError, UnknownFamilyError
 from infogeom.expfam import (
+    _REGISTRY,
     ExpFamily,
     TangentCoord,
     ThetaBox,
@@ -203,6 +204,27 @@ def test_make_family_definitions(families):
     assert pw[3] == pytest.approx(1.0 / 6.0, abs=1e-15)
     assert families["categorical"].order == 2
     assert families["gauss_known_var"].kind == "quadrature"
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+def test_builders_return_canonical_points(name):
+    # FiniteMeasure keeps points that are already in canonical order where they are, so the
+    # statistic rows a builder returns stay aligned with base.points
+    build, spec = _REGISTRY[name][:2]
+    for which in (0, 1):  # the default parameters, then the smallest allowed
+        points, weights, stats = build(**{key: limits[which] for key, limits in spec.items()})
+        base = FiniteMeasure(points, weights)
+        assert np.array_equal(base.points, points) and np.array_equal(base.weights, weights)
+        assert stats.shape[0] == points.shape[0]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_categorical_statistic_row_by_row(k):
+    f = make_family("categorical", {"k": k})
+    assert f.base.points.shape == (k, k) and f.stat_values.shape == (k, k - 1)
+    for x, t in zip(f.base.points, f.stat_values):
+        assert np.sum(x) == 1.0 and np.all((x == 0.0) | (x == 1.0))
+        assert t.tolist() == [x[i] for i in range(k - 1, 0, -1)]  # T(x) = (x_k, ..., x_2)
 
 
 def test_make_family_box_override():
