@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     BadParamError,
@@ -178,13 +177,33 @@ def _as_theta(family: ExpFamily, theta) -> np.ndarray:
     return t
 
 
+def _logsumexp(a: np.ndarray, b: np.ndarray) -> float:
+    """log sum(b exp(a)) for weights b >= 0, in the operations of scipy.special.logsumexp 1.17.
+
+    Zero weights drop their term even at a = inf. The terms at the largest
+    exponent a_max sum to m, the rest, shifted by a_max, to s; the result is
+    log1p(s / m) + log(m) + a_max, or log sum(b exp(a)) where that is not finite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shifted = np.where(b == 0, -np.inf, a)
+        a_max = np.max(shifted, keepdims=True)
+        top = shifted == a_max
+        m = np.sum(b * top, keepdims=True)
+        shifted[top] = -np.inf
+        s = np.sum(b * np.exp(shifted - a_max), keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out[0]):
+            out = np.log(np.sum(b * np.exp(a), keepdims=True))
+    return float(out[0])
+
+
 def log_partition(family: ExpFamily, theta) -> float:
     """log Z(theta), computed with a max-shift so exp never overflows."""
     t = _as_theta(family, theta)
     if not family.theta_domain.contains(t):
         raise DomainError(f"theta {t.tolist()} outside the declared domain")
-    with np.errstate(over="ignore"):  # a non-finite sum is raised below, not warned
-        value = float(logsumexp(family.stat_values @ t, b=family.base.weights))
+    value = _logsumexp(family.stat_values @ t, family.base.weights)
     if not math.isfinite(value):
         raise OverflowError("log-partition sum is not finite")
     return value

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import AbsoluteContinuityError
 
@@ -182,6 +181,75 @@ class FiniteMeasure(SignedFiniteMeasure):
         pts, w = _canonical_support(self.points, self.weights)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
+
+
+# Cephes ndtr/erf/erfc (the routine behind scipy.special.ndtr), coefficient for
+# coefficient. Each tuple is evaluated by Horner's rule from its first entry;
+# a leading 1.0 stands for cephes' p1evl (implicit leading coefficient).
+# erf(x) = x T(x^2) / U(x^2) for |x| < 1.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, with R / S in place of P / Q beyond.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # erfc underflows to 0 once x^2 > MAXLOG
+_NDTR_BLOCK = 1 << 14
+
+
+def _horner(x: np.ndarray, coef) -> np.ndarray:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtr_block(a: np.ndarray) -> np.ndarray:
+    x = a * math.sqrt(0.5)
+    z = np.abs(x)
+    # Where erfc is not evaluated: 0 below the underflow point, NaN at NaN, and
+    # 1 for x > 6, where 0.5 erfc(x) < 2**-54 so that 1 - 0.5 erfc(x) rounds to 1.
+    y = np.heaviside(x, 0.5)
+    near = z < 1.0
+    xn = x[near]
+    y[near] = 0.5 + 0.5 * (xn * _horner(xn * xn, _ERF_T) / _horner(xn * xn, _ERF_U))
+    with np.errstate(over="ignore"):  # z * z = inf is past the underflow point, as it should be
+        tail = ~near & (z * z <= _MAXLOG) & (x <= 6.0)
+    zt = z[tail]
+    # libm exp, as cephes calls it; numpy's SIMD exp rounds differently on some inputs
+    e = np.fromiter(map(math.exp, (-(zt * zt)).tolist()), dtype=float, count=zt.size)
+    p = np.empty_like(zt)
+    q = np.empty_like(zt)
+    mid = zt < 8.0
+    for sel, num, den in ((mid, _ERFC_P, _ERFC_Q), (~mid, _ERFC_R, _ERFC_S)):
+        p[sel] = _horner(zt[sel], num)
+        q[sel] = _horner(zt[sel], den)
+    half_erfc = 0.5 * (e * p / q)
+    y[tail] = np.where(x[tail] > 0.0, 1.0 - half_erfc, half_erfc)
+    return y
+
+
+def ndtr(a):
+    """Standard normal CDF, bit for bit equal to ``scipy.special.ndtr`` on float64.
+
+    Evaluated in blocks of ``_NDTR_BLOCK`` points so temporaries stay small. A
+    scalar or 0-d input gives a numpy scalar, as a ufunc would.
+    """
+    a = np.asarray(a, dtype=float)
+    flat = a.ravel()
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _NDTR_BLOCK):
+        out[start:start + _NDTR_BLOCK] = _ndtr_block(flat[start:start + _NDTR_BLOCK])
+    return out.reshape(a.shape)[()]
 
 
 @dataclass(frozen=True, eq=False)

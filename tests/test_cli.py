@@ -1,9 +1,14 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import infogeom
 import infogeom.derived as derived
 from infogeom.cli import _OPTIONS, main
 
@@ -97,6 +102,15 @@ def test_byte_identical_output(tmp_path, capsys):
     assert main(argv + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves only as the tests' reference
+    src = str(Path(infogeom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, infogeom.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_usage_errors_exit_1(capsys):

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 
 from infogeom.errors import BadParamError, DomainError, RankError, UnknownFamilyError
 from infogeom.expfam import (
     _REGISTRY,
     ExpFamily,
+    _logsumexp,
     TangentCoord,
     ThetaBox,
     affine_transform_statistic,
@@ -56,6 +58,44 @@ def test_log_partition_overflow_rejected_at_construction():
             theta_domain=ThetaBox([-1.0], [1.0]),
             check_rank=False,
         )
+
+
+def _assert_scipy_bits(a, b):
+    with np.errstate(over="ignore"):
+        reference = scipy.special.logsumexp(a, b=b)
+    assert np.float64(_logsumexp(a, b)).view(np.int64) == np.float64(reference).view(np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+def test_log_partition_matches_scipy_logsumexp_bits(name):
+    family = make_family(name)
+    box = family.theta_domain
+    rng = np.random.default_rng(7)
+    thetas = list(family.theta_grid) + [rng.uniform(box.lo, box.hi) for _ in range(50)]
+    weights = family.base.weights
+    sparse = np.where(rng.random(weights.size) < 0.3, 0.0, weights)
+    sparse[0] = 0.0
+    for theta in thetas:
+        a = family.stat_values @ theta
+        _assert_scipy_bits(a, weights)
+        assert log_partition(family, theta) == _logsumexp(a, weights)
+        _assert_scipy_bits(a, sparse)
+        # a zero weight drops its term even where the exponent is infinite
+        a[0] = np.inf
+        _assert_scipy_bits(a, sparse)
+
+
+def test_logsumexp_edge_weights_match_scipy():
+    cases = [
+        ([1000.0, 1000.0], [1.0, 1e308]),  # shifted sum finite although exp(a) overflows
+        ([1.0, 2.0], [0.0, 0.0]),
+        ([-np.inf, -np.inf], [1.0, 1.0]),
+        ([3.0, 3.0, 3.0], [0.5, 0.25, 0.25]),
+        ([0.0, 1.0], [1e308, 1e308]),
+        ([0.0, 0.0], [1e308, 1e308]),  # m overflows: the sum is inf, log_partition raises OverflowError
+    ]
+    for a, b in cases:
+        _assert_scipy_bits(np.array(a), np.array(b))
 
 
 def test_density_measure_bernoulli(families):

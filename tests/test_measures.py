@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from infogeom.measures import (
     TangentPair,
     almost_equal,
     moments,
+    ndtr,
     push_forward,
     quantize,
     radon_nikodym,
@@ -136,6 +138,49 @@ def test_gaussian_reference_closed_forms():
     assert phi.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
     assert phi.linear_l2_norm([3.0, 4.0]) == pytest.approx(5.0, abs=1e-14)
     assert phi.linear_abs_moment([3.0, 4.0]) == pytest.approx(5.0 * np.sqrt(2.0 / np.pi), abs=1e-13)
+
+
+def _same_bits(ours, reference):
+    ours, reference = np.asarray(ours), np.asarray(reference)
+    assert ours.shape == reference.shape and ours.dtype == reference.dtype
+    np.testing.assert_array_equal(ours.view(np.int64), reference.view(np.int64))
+
+
+def test_ndtr_matches_scipy_bits_on_a_fine_grid():
+    x = np.linspace(-40.0, 40.0, 300001)
+    _same_bits(ndtr(x), scipy.special.ndtr(x))
+
+
+# Branch edges of cephes ndtr, in a = sqrt(2) x: |x| = 1 (erf / erfc), x = 6
+# (1 - 0.5 erfc rounds to 1), |x| = 8 (P/Q / R/S) and x^2 = MAXLOG (underflow).
+_EDGES_X = np.array([1.0, 6.0, 8.0, np.sqrt(7.09782712893383996843e2)])
+
+
+def test_ndtr_matches_scipy_bits_at_branch_edges():
+    a = np.concatenate([_EDGES_X, -_EDGES_X]) / np.sqrt(0.5)
+    a = np.concatenate([a, np.nextafter(a, np.inf), np.nextafter(a, -np.inf)])
+    _same_bits(ndtr(a), scipy.special.ndtr(a))
+
+
+def test_ndtr_special_values_and_shapes():
+    special = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+    out = ndtr(special)
+    _same_bits(out, scipy.special.ndtr(special))
+    assert out[:2].tolist() == [1.0, 0.0] and np.isnan(out[2])
+    for x in (0.0, np.float64(-1.5), np.array(2.5)):
+        ours = ndtr(x)
+        assert type(ours) is np.float64 and ours == scipy.special.ndtr(x)
+    for shape in ((0,), (3, 1), (2, 20000)):  # the last spans two evaluation blocks
+        x = np.random.default_rng(0).normal(scale=10.0, size=shape)
+        _same_bits(ndtr(x), scipy.special.ndtr(x))
+    assert GaussianReference.cdf(0.0) == 0.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-40.0, 40.0) | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+def test_ndtr_matches_scipy_bits_on_finite_floats(values):
+    x = np.array(values)
+    _same_bits(ndtr(x), scipy.special.ndtr(x))
 
 
 def test_quantize_merges_lattice_noise():
