@@ -47,12 +47,12 @@ from .geometry import (
     NormFunctional,
     fisher_metric_field,
     fisher_norm_functional,
+    invariant_form,
+    invariant_form_value,
     metric_eval,
-    norm_of_tangent,
     polarize,
 )
 from .invariance import (
-    AxiomReport,
     check_A1,
     check_A2,
     check_A3_affine,
@@ -79,7 +79,6 @@ from .tensors import (
     higher_scaling_check,
     odd_k_vanishing_check,
     power_tensor_field,
-    symmetric_power_eval,
 )
 
 __version__ = "0.1.0"

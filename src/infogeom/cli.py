@@ -11,11 +11,12 @@ without one is informational and always passes; a check that raised is a row
 with value NaN that fails. Reals are written with 17 significant digits so
 repeated runs with the same configuration and seed are byte-identical.
 
-Exit codes: 0 every row passed, 1 usage error, 2 at least one row has
-pass=false. The run ends with one standard-error line counting the rows that
-pass, fail and have an undefined (NaN) value, e.g. an exponent at a theta
-where the cumulant it divides by vanishes; an undefined informational row
-still passes. Progress and warnings go to standard error.
+Exit codes: 0 every row passed, 1 usage error (or a config file or output
+path that cannot be opened), 2 at least one row has pass=false. The run
+ends with one standard-error line counting the rows that pass, fail and
+have an undefined (NaN) value, e.g. an exponent at a theta where the
+cumulant it divides by vanishes; an undefined informational row still
+passes. Progress and warnings go to standard error.
 
 Configuration files are INI-style ``key = value`` lines (``#`` comments,
 no sections); command-line flags override file values. The recognized keys
@@ -104,12 +105,13 @@ class RunConfig:
         """A CSV row; it passes when it has no tolerance or value <= tol (never when value is NaN)."""
         return Row(self.family.name, _theta_str(theta), n, quantity, value, tol, tol is None or bool(value <= tol))
 
-    def guarded(self, rows: list, theta, n: int, quantity: str, tol: Optional[float], compute) -> None:
+    def guarded(self, rows: list, theta, n: int, quantity: str, tol: Optional[float], compute):
         """Append compute()'s rows, or the row (theta, n, quantity, value, tol) if it returns a bare value.
 
-        A numerical failure (InfoGeomError) is reported on standard error and
-        becomes a failing row for ``quantity`` with value NaN (and tolerance
-        NaN when the check has none), so the run goes on.
+        Returns compute()'s result. A numerical failure (InfoGeomError) is
+        reported on standard error and becomes a failing row for ``quantity``
+        with value NaN (and tolerance NaN when the check has none), so the run
+        goes on; the result is then NaN.
         """
         try:
             result = compute()
@@ -117,11 +119,12 @@ class RunConfig:
             where = f"{self.family.name} theta={_theta_str(theta)} n={n} {quantity}"
             print(f"[infogeom] {where}: {exc}", file=sys.stderr)
             rows.append(self.row(theta, n, quantity, math.nan, math.nan if tol is None else tol))
-            return
+            return math.nan
         if isinstance(result, list):
             rows.extend(result)
         else:
             rows.append(self.row(theta, n, quantity, result, tol))
+        return result
 
 
 def _fmt(x: float) -> str:
@@ -321,31 +324,31 @@ def cmd_invariance(cfg: RunConfig) -> list:
     for theta in cfg.thetas:
         u = TangentCoord(theta, a)
         v = TangentCoord(theta, b)
-
-        def axiom(n, name, check_tol, report):
-            cfg.guarded(rows, theta, n, name, check_tol, lambda: report().residual)
-
         for n in cfg.n_list:
-            axiom(n, "A1", tol, lambda: invariance.check_A1(family, u, v, n, tol=tol))
-            axiom(n, "A2", tol, lambda: invariance.check_A2(family, u, v, n, tol=tol, support_cap=cap))
-        axiom(
+            cfg.guarded(rows, theta, n, "A1", tol, lambda: invariance.check_A1(family, u, v, n))
+            cfg.guarded(rows, theta, n, "A2", tol, lambda: invariance.check_A2(family, u, v, n, support_cap=cap))
+        cfg.guarded(
+            rows,
+            theta,
             last,
             "A3-constancy",
             tol,
-            lambda: invariance.check_A3_constancy(family, u, cfg.n_list, tol=tol, support_cap=cap),
+            lambda: invariance.check_A3_constancy(family, u, cfg.n_list, support_cap=cap),
         )
-        axiom(
+        cfg.guarded(
+            rows,
+            theta,
             first,
             "A3-affine",
             affine_tol,
-            lambda: invariance.check_A3_affine(family, u, n=first, seed=cfg.seed, tol=affine_tol, support_cap=cap),
+            lambda: invariance.check_A3_affine(family, u, n=first, seed=cfg.seed, support_cap=cap),
         )
     return rows
 
 
 def cmd_clt(cfg: RunConfig) -> list:
     rows = []
-    ks_tol = cfg.tol.get("ks", cfg.tol.get("default"))
+    ks_tol = cfg.tolerance("ks", None)
     for theta in cfg.thetas:
         for n in cfg.n_list:
 
@@ -366,8 +369,14 @@ def cmd_tensor(cfg: RunConfig) -> list:
     a = np.ones(cfg.family.order)
     residual, exponent = f"scaling_residual_k{cfg.k}", f"scaling_exponent_k{cfg.k}"
     for theta in cfg.thetas:
-        value = tensors.amari_chentsov(cfg.family, theta, [a] * cfg.k)
-        rows.append(cfg.row(theta, 1, f"amari_chentsov_k{cfg.k}", value))
+        value = cfg.guarded(
+            rows,
+            theta,
+            1,
+            f"amari_chentsov_k{cfg.k}",
+            None,
+            lambda: tensors.amari_chentsov(cfg.family, theta, [a] * cfg.k),
+        )
         if cfg.k == 3:
             cfg.guarded(
                 rows,
@@ -424,9 +433,15 @@ def cmd_uniqueness(cfg: RunConfig) -> list:
     ]
     theta0 = cfg.thetas[0]
     for label, metric_field, check_tol in fields:
-        result = invariance.recover_constant(metric_field, cfg.family, trials=cfg.trials, seed=cfg.seed)
-        rows.append(cfg.row(theta0, 1, f"recover_c_hat[{label}]", result.c_hat))
-        rows.append(cfg.row(theta0, 1, f"recover_spread[{label}]", result.spread, check_tol))
+
+        def recover_rows():
+            result = invariance.recover_constant(metric_field, cfg.family, trials=cfg.trials, seed=cfg.seed)
+            return [
+                cfg.row(theta0, 1, f"recover_c_hat[{label}]", result.c_hat),
+                cfg.row(theta0, 1, f"recover_spread[{label}]", result.spread, check_tol),
+            ]
+
+        cfg.guarded(rows, theta0, 1, f"recover_spread[{label}]", check_tol, recover_rows)
     return rows
 
 
@@ -479,7 +494,7 @@ def main(argv=None) -> int:
         print(f"[infogeom] {args.command}: family={cfg.family.name} seed={cfg.seed}", file=sys.stderr)
         rows = _COMMANDS[args.command][0](cfg)
         _emit(rows, cfg.out)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: a config file or output path that cannot be opened
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except InfoGeomError as exc:

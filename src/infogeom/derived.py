@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankError, SupportBlowupError
-from .expfam import ExpFamily, TangentCoord, cov_statistic, density_measure, density_weights, mean_statistic
+from .expfam import ExpFamily, TangentCoord, cov_statistic, density_weights, mean_statistic
 from .measures import FiniteMeasure, MergePlan, SignedFiniteMeasure, TangentPair, push_forward
 
 SUPPORT_CAP = 2_000_000
@@ -47,13 +47,12 @@ class AffineMap:
     offset: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        c = np.asarray(self.offset, dtype=float).reshape(-1)
+        m = np.array(self.matrix, dtype=float, order="C")  # copies: the caller's arrays stay writeable
+        c = np.array(self.offset, dtype=float).reshape(-1)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != c.shape[0]:
             raise ValueError("matrix must be square and match the offset dimension")
         if abs(np.linalg.det(m)) <= 1e-12:
             raise RankError("affine map must be invertible")
-        m = np.ascontiguousarray(m)
         m.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -246,8 +245,3 @@ def iid_product(p: FiniteMeasure, n: int, max_points: int = SUPPORT_CAP) -> Fini
     pts = p.points[idx].reshape(idx.shape[0], n * p.dim)
     wts = p.weights[idx].prod(axis=1)
     return FiniteMeasure(pts, wts)
-
-
-def iid_product_measure(family: ExpFamily, theta, n: int, max_points: int = SUPPORT_CAP) -> FiniteMeasure:
-    """P_theta^n on X^n (cross-validation helper, n <= 3 in practice)."""
-    return iid_product(density_measure(family, theta), n, max_points)

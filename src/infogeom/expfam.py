@@ -42,8 +42,8 @@ class ThetaBox:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float).reshape(-1)
-        hi = np.asarray(self.hi, dtype=float).reshape(-1)
+        lo = np.array(self.lo, dtype=float).reshape(-1)  # copies: the caller's arrays stay writeable
+        hi = np.array(self.hi, dtype=float).reshape(-1)
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise ValueError("need lo < hi componentwise")
         lo.setflags(write=False)
@@ -74,8 +74,8 @@ class TangentCoord:
     a: np.ndarray
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float).reshape(-1)
-        a = np.asarray(self.a, dtype=float).reshape(-1)
+        theta = np.array(self.theta, dtype=float).reshape(-1)  # copies: the caller's arrays stay writeable
+        a = np.array(self.a, dtype=float).reshape(-1)
         if theta.shape != a.shape:
             raise ValueError("theta and a must have the same dimension")
         theta.setflags(write=False)
@@ -128,14 +128,13 @@ class ExpFamily:
     check_rank: bool = True
 
     def __post_init__(self):
-        stats = np.asarray(self.stat_values, dtype=float)
+        stats = np.array(self.stat_values, dtype=float, order="C")  # copies: the caller's arrays stay writeable
         if stats.ndim == 1:
             stats = stats.reshape(-1, 1)
         if stats.shape[0] != self.base.size:
             raise ValueError("need one statistic row per base support point")
         if stats.shape[1] != self.theta_domain.dim:
             raise ValueError("statistic and parameter dimensions differ")
-        stats = np.ascontiguousarray(stats)
         stats.setflags(write=False)
         object.__setattr__(self, "stat_values", stats)
         if self.kind not in ("discrete", "quadrature"):
@@ -143,7 +142,7 @@ class ExpFamily:
         grid = self.theta_grid
         if grid is None:
             grid = _default_grid(self.theta_domain)
-        grid = np.asarray(grid, dtype=float)
+        grid = np.array(grid, dtype=float)
         if grid.ndim == 1:
             grid = grid.reshape(-1, 1)
         if grid.shape[1] != self.theta_domain.dim:
@@ -326,10 +325,7 @@ def gradient_log_partition_fd(family: ExpFamily, theta, step: float = FD_STEP) -
 
 def model_tangent(family: ExpFamily, u: TangentCoord) -> TangentPair:
     """Tangent pair (P_theta, A) with dA = (a . (T - tau)) dP_theta."""
-    t = _as_theta(family, u.theta)
-    if u.a.shape[0] != family.order:
-        raise ValueError("direction dimension mismatch")
-    dw = density_weights(family, t)
+    dw = density_weights(family, u.theta)
     slope = centered(dw, family.stat_values)[1] @ u.a
     base = FiniteMeasure(family.base.points, dw)
     direction = SignedFiniteMeasure(family.base.points, dw * slope)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .expfam import ExpFamily, TangentCoord, cov_statistic, fisher_information, model_tangent, require_shared_base
-from .measures import FiniteMeasure, GaussianReference, radon_nikodym
+from .measures import FiniteMeasure, GaussianReference, TangentPair, radon_nikodym
 
 METRIC_SYMMETRY_TOL = 1e-12
 
@@ -162,25 +162,27 @@ def metric_eval(field: MetricField, u: TangentCoord, v: TangentCoord) -> float:
     return float(u.a @ field.matrix(u.theta) @ v.a)
 
 
-def norm_of_tangent(field: MetricField, u: TangentCoord) -> float:
-    return math.sqrt(metric_eval(field, u, u))
-
-
 def polarize(h_squared: Callable[[TangentCoord], float], u: TangentCoord, v: TangentCoord) -> float:
     """Recover the bilinear value from diagonal values: [h2(u+v) - h2(u-v)] / 4."""
     require_shared_base(u, v)
     return (float(h_squared(u + v)) - float(h_squared(u - v))) / 4.0
 
 
-def invariant_form_value(family: ExpFamily, u: TangentCoord, v: TangentCoord) -> float:
-    """Fisher inner product assembled from Radon-Nikodym derivatives.
+def invariant_form(pair_u: TangentPair, pair_v: TangentPair) -> float:
+    """Invariant inner product integral (dA/dP)(dB/dP) dP of two tangent pairs at one base P.
 
-    Computes integral (dA/dP)(dB/dP) dP for the model tangents of u and v;
-    agrees with the parameterisation-dependent score-product matrix.
+    P is ``pair_u.base``; ``pair_v`` must sit at the same distribution (its
+    direction is differentiated against P).
+    """
+    ra = radon_nikodym(pair_u.direction, pair_u.base)
+    rb = radon_nikodym(pair_v.direction, pair_u.base)
+    return float(np.sum(pair_u.base.weights * ra * rb))
+
+
+def invariant_form_value(family: ExpFamily, u: TangentCoord, v: TangentCoord) -> float:
+    """Fisher inner product of u and v as the invariant form of their model tangents.
+
+    Agrees with the parameterisation-dependent score-product matrix.
     """
     require_shared_base(u, v)
-    tu = model_tangent(family, u)
-    tv = model_tangent(family, v)
-    ra = radon_nikodym(tu.direction, tu.base)
-    rb = radon_nikodym(tv.direction, tu.base)
-    return float(np.sum(tu.base.weights * ra * rb))
+    return invariant_form(model_tangent(family, u), model_tangent(family, v))

@@ -273,17 +273,6 @@ class GaussianReference:
         """Standard normal CDF, per axis (same for every marginal)."""
         return ndtr(x)
 
-    def linear_l2_norm(self, coeff) -> float:
-        """L2 norm of the linear function y -> coeff . y, i.e. ||coeff||."""
-        c = np.asarray(coeff, dtype=float).reshape(-1)
-        if c.shape[0] != self.dim:
-            raise ValueError("coefficient dimension mismatch")
-        return float(np.linalg.norm(c))
-
-    def linear_abs_moment(self, coeff) -> float:
-        """First absolute moment of y -> coeff . y, i.e. ||coeff|| sqrt(2/pi)."""
-        return self.linear_l2_norm(coeff) * math.sqrt(2.0 / math.pi)
-
 
 @dataclass(frozen=True, eq=False)
 class TangentPair:

@@ -179,17 +179,6 @@ def higher_scaling_check(
     return ScalingCheck(order=k, n=n, lhs=lhs, rhs=rhs, residual=residual, measured_exponent=exponent)
 
 
-def symmetric_power_eval(family: ExpFamily, theta, dirs: Sequence, c_prime: float) -> float:
-    """Quartic symmetrized power of the Fisher form over four directions.
-
-    c' [g(u,v) g(w,m) + g(u,w) g(v,m) + g(u,m) g(v,w)] with g the Fisher
-    quadratic form at theta.
-    """
-    if len(dirs) != 4:
-        raise ValueError("the quartic power takes exactly four directions")
-    return power_tensor_field(family, 4, c_prime).eval(theta, dirs)
-
-
 def polarize_symmetric4(diagonal: Callable[[np.ndarray], float], dirs: Sequence) -> float:
     """Recover a symmetric quartic tensor from its diagonal D(x) = G(x,x,x,x).
 

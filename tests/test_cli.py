@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infogeom
 import infogeom.derived as derived
@@ -338,3 +341,72 @@ def test_integer_option_below_minimum_is_usage_error(tmp_path, capsys, command, 
     code, out, err = _run(capsys, argv)
     assert code == 1 and out == ""
     assert err.splitlines()[-1] == f"usage error: {key} must be an integer >= {minimum}, got {value}"
+
+
+def test_tensor_theta_outside_box_is_a_failing_row(capsys):
+    # amari_chentsov at theta = 20 raises; the theta = 0 rows keep their bytes and the run exits 2
+    code, out, err = _run(capsys, ["tensor", "--family", "bernoulli", "--theta", "0,20"])
+    assert code == 2 and "outside the declared domain" in err
+    inside = _run(capsys, ["tensor", "--family", "bernoulli", "--theta", "0"])[1]
+    assert [line for line in out.splitlines() if line.split(",")[1] != "20"] == inside.splitlines()
+    outside = [r for r in _rows(out) if r["theta"] == "20"]
+    assert {r["quantity"] for r in outside} >= {"amari_chentsov_k3", "fd3_gap"}
+    assert all(math.isnan(float(r["value"])) and r["pass"] == "false" for r in outside)
+
+
+def test_uniqueness_singular_recovery_is_a_failing_row(capsys):
+    # recover_constant samples the grid of the box [18, 28], where the covariance is numerically singular
+    argv = ["uniqueness", "--family", "bernoulli", "--theta-lo", "18", "--theta-hi", "28", "--theta", "19"]
+    code, out, err = _run(capsys, [*argv, "--n", "1,2"])
+    assert code == 2 and "numerically singular" in err
+    rows = {r["quantity"]: r for r in _rows(out)}
+    for label in ("2.5xfisher", "sin_perturbed"):
+        assert math.isnan(float(rows[f"recover_spread[{label}]"]["value"]))
+        assert rows[f"recover_spread[{label}]"]["pass"] == "false"
+    assert rows["uniqueness_residual[fisher]"]["pass"] == "true"
+
+
+def test_unopenable_paths_are_usage_errors(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for extra in (["--config", str(missing / "run.ini")], ["--out", str(missing / "out.csv")]):
+        code, out, err = _run(capsys, ["clt", "--family", "bernoulli", "--theta", "0", "--n", "1,2", *extra])
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1].startswith("usage error: ") and str(missing) in err
+        assert "Traceback" not in err
+
+
+_BOXES = {"bernoulli": ([-10.0], [10.0]), "categorical": ([-8.0, -8.0], [8.0, 8.0])}
+
+
+@st.composite
+def _theta_components(draw, lo, hi):
+    """One theta: each component inside the box, exactly on its edge or outside it."""
+    parts = []
+    for low, high in zip(lo, hi):
+        where = draw(st.sampled_from(["inside", "edge", "outside"]))
+        if where == "inside":
+            parts.append(draw(st.floats(low, high)))
+        elif where == "edge":
+            parts.append(draw(st.sampled_from([low, high])))
+        else:
+            gap = draw(st.floats(1e-6, 30.0))
+            parts.append(draw(st.sampled_from([low - gap, high + gap])))
+    return tuple(parts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_numerical_trouble_never_crashes_a_run(data):
+    # every command, on a theta inside, on the edge of or outside the box and at any small cap, ends
+    # with exit code 0 or 2 and a row for every requested theta
+    command = data.draw(st.sampled_from(["fisher", "invariance", "clt", "tensor", "uniqueness"]))
+    family = data.draw(st.sampled_from(sorted(_BOXES)))
+    thetas = data.draw(st.lists(_theta_components(*_BOXES[family]), min_size=1, max_size=2, unique=True))
+    cap = data.draw(st.integers(1, 50))
+    theta_text = ",".join(";".join(repr(x) for x in theta) for theta in thetas)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--family", family, f"--theta={theta_text}", "--n", "1,2", "--cap", str(cap)])
+    assert code in (0, 2)
+    written = {tuple(float(x) for x in row["theta"].split(";")) for row in _rows(out.getvalue())}
+    assert set(thetas) <= written

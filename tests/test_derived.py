@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import infogeom.derived as derived
-import infogeom.invariance as invariance
+import infogeom.geometry as geometry
 from infogeom.derived import (
     AffineMap,
     affine_pushforward_pair,
     convolve,
     iid_fisher,
-    iid_product_measure,
+    iid_product,
     nef_base,
     nef_distribution,
     nef_tangent,
@@ -31,6 +31,15 @@ from infogeom.expfam import (
 )
 from infogeom.invariance import check_A2
 from infogeom.measures import FiniteMeasure, almost_equal, moments, push_forward, quantize, radon_nikodym
+
+
+def test_affine_map_copies_its_arrays():
+    matrix, offset = np.eye(2), np.zeros(2)
+    lmap = AffineMap(matrix, offset)
+    assert matrix.flags.writeable and offset.flags.writeable
+    assert not lmap.matrix.flags.writeable and not lmap.offset.flags.writeable
+    matrix[0, 0], offset[1] = 5.0, 3.0
+    assert lmap.apply([1.0, 1.0]).tolist() == [1.0, 1.0]
 
 
 def test_affine_map_basics():
@@ -243,13 +252,13 @@ def test_directions_share_the_q_n_support(families, monkeypatch):
     pair = nef_tangent(f, u, 4)
     assert pair.direction.points is pair.base.points
     shared = []
-    original = invariance.radon_nikodym
+    original = geometry.radon_nikodym
 
     def recording(direction, base):
         shared.append(direction.points is base.points)
         return original(direction, base)
 
-    monkeypatch.setattr(invariance, "radon_nikodym", recording)
+    monkeypatch.setattr(geometry, "radon_nikodym", recording)
     check_A2(f, u, v, 4)
     assert shared == [True, True]
 
@@ -406,7 +415,7 @@ def test_product_measure_pushforward_matches_convolution(families):
     ]
     for f, n in cases:
         theta = f.theta_grid[3]
-        product = iid_product_measure(f, theta, n)
+        product = iid_product(density_measure(f, theta), n)
         assert product.size <= f.base.size**n
         alt = push_forward(product, _statistic_lookup(f))
         direct = nef_distribution(f, theta, n)
@@ -422,7 +431,7 @@ def test_convolve_is_commutative_in_distribution(families):
 
 def test_product_measure_mass(families):
     p = density_measure(families["bernoulli"], 0.3)
-    prod = iid_product_measure(families["bernoulli"], 0.3, 3)
+    prod = iid_product(p, 3)
     assert prod.total_mass == pytest.approx(p.total_mass**3, abs=1e-14)
 
 

@@ -44,6 +44,28 @@ def test_log_partition_point_mass_base():
     assert log_partition(f, 1.25) == pytest.approx(1.25 * 3.0, abs=1e-14)
 
 
+def test_constructors_leave_caller_arrays_writeable():
+    # the objects hold read-only copies: the caller's arrays stay writeable, and writing to them later
+    # changes nothing inside
+    stats, grid = np.array([[0.0], [1.0], [2.0]]), np.array([[-0.5], [0.5]])
+    lo, hi, theta, a = np.array([-1.0]), np.array([1.0]), np.array([0.25]), np.array([1.0])
+    f = ExpFamily(
+        name="copies",
+        base=FiniteMeasure([[0.0], [1.0], [2.0]], [1.0, 2.0, 1.0]),
+        stat_values=stats,
+        theta_domain=ThetaBox(lo, hi),
+        theta_grid=grid,
+    )
+    u = TangentCoord(theta, a)
+    held = [f.stat_values, f.theta_grid, f.theta_domain.lo, f.theta_domain.hi, u.theta, u.a]
+    given = [stats, grid, lo, hi, theta, a]
+    before = [x.copy() for x in held]
+    for mine, theirs in zip(given, held):
+        assert mine.flags.writeable and not theirs.flags.writeable
+        mine += 7.0
+    assert all(np.array_equal(x, y) for x, y in zip(held, before))
+
+
 def test_log_partition_domain_error(families):
     with pytest.raises(DomainError):
         log_partition(families["bernoulli"], 11.0)

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from infogeom.derived import AffineMap, standardizing_map
 from infogeom.derived import nef_distribution
 from infogeom.errors import BasePointMismatchError
-from infogeom.expfam import TangentCoord, fisher_information
+from infogeom.expfam import TangentCoord, fisher_information, model_tangent
 from infogeom.geometry import (
     MetricField,
     fisher_metric_field,
     fisher_norm_functional,
+    invariant_form,
     invariant_form_value,
     l1_perturbed_norm_functional,
     metric_eval,
-    norm_of_tangent,
     point_values,
     polarize,
     scaled_metric_field,
@@ -170,6 +170,14 @@ def test_invariant_form_matches_route_b(families):
             assert abs(invariant_form_value(f, u, v) - direct) <= 1e-10
 
 
+def test_invariant_form_of_model_tangents(families):
+    # at theta = 0 the Bernoulli score is a (T - 1/2), T uniform on {0, 1}: the form is a b / 4, exactly
+    pair_u = model_tangent(families["bernoulli"], TangentCoord([0.0], [2.0]))
+    pair_v = model_tangent(families["bernoulli"], TangentCoord([0.0], [-3.0]))
+    assert invariant_form(pair_u, pair_v) == -1.5
+    assert invariant_form(pair_u, pair_u) == 1.0
+
+
 def test_scaled_and_sinusoidal_fields(families):
     f = families["bernoulli"]
     base = fisher_metric_field(f)
@@ -183,7 +191,8 @@ def test_scaled_and_sinusoidal_fields(families):
 
 def test_norm_of_tangent(families):
     field = fisher_metric_field(families["bernoulli"])
-    assert norm_of_tangent(field, TangentCoord([0.0], [1.0])) == pytest.approx(0.5, abs=1e-14)
+    u = TangentCoord([0.0], [1.0])
+    assert math.sqrt(metric_eval(field, u, u)) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_point_values_forms():

@@ -44,14 +44,14 @@ def _directions(order):
 def test_check_A1_examples(families):
     f = families["bernoulli"]
     u = TangentCoord([0.0], [1.0])
-    assert check_A1(f, u, u, 2).residual <= 1e-12
-    assert check_A1(f, u, u, 1).residual == 0.0
+    assert check_A1(f, u, u, 2) <= 1e-12
+    assert check_A1(f, u, u, 1) == 0.0
 
     cat = families["categorical"]
     e1 = TangentCoord([0.0, 0.0], [1.0, 0.0])
-    report = check_A1(cat, e1, e1, 3)
-    assert report.residual <= 1e-12
-    assert report.passed
+    residual = check_A1(cat, e1, e1, 3)
+    assert 0.0 <= residual <= 1e-12
+    assert check_A1(f, u, u, 2) >= 0.0
 
 
 def test_check_A1_product_oracle_value(families):
@@ -65,13 +65,13 @@ def test_check_A1_product_oracle_value(families):
 def test_check_A2_examples(families):
     f = families["bernoulli"]
     u = TangentCoord([0.0], [1.0])
-    assert check_A2(f, u, u, 4).residual <= 1e-10
-    assert check_A2(f, u, u, 1).residual <= 1e-12
+    assert check_A2(f, u, u, 4) <= 1e-10
+    assert check_A2(f, u, u, 1) <= 1e-12
 
     b4 = families["binomial"]
     ub = TangentCoord([0.0], [1.0])
     assert cov_statistic(b4, 0.0)[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert check_A2(b4, ub, ub, 2).residual <= 1e-10
+    assert check_A2(b4, ub, ub, 2) <= 1e-10
 
 
 def test_A1_A2_residuals_on_grids(discrete_families):
@@ -81,8 +81,8 @@ def test_A1_A2_residuals_on_grids(discrete_families):
             u = TangentCoord(theta, a)
             v = TangentCoord(theta, b)
             for n in (1, 2, 4, 8, 16):
-                assert check_A1(f, u, v, n).residual <= 1e-9
-                assert check_A2(f, u, v, n).residual <= 1e-9
+                assert check_A1(f, u, v, n) <= 1e-9
+                assert check_A2(f, u, v, n) <= 1e-9
 
 
 def test_A1_A2_residuals_quadrature(quadrature_families):
@@ -94,11 +94,11 @@ def test_A1_A2_residuals_quadrature(quadrature_families):
             u = TangentCoord(theta, a)
             v = TangentCoord(theta, b)
             for n in (1, 2, 4, 8, 16):
-                assert check_A1(f, u, v, n).residual <= 1e-9
+                assert check_A1(f, u, v, n) <= 1e-9
             for n in (1, 2):
-                assert check_A2(f, u, v, n).residual <= 1e-9
+                assert check_A2(f, u, v, n) <= 1e-9
         u = TangentCoord(f.theta_grid[2], a)
-        assert check_A2(f, u, u, 3).residual <= 1e-9
+        assert check_A2(f, u, u, 3) <= 1e-9
 
 
 def test_claim1_constancy_bernoulli(families):
@@ -121,17 +121,14 @@ def test_claim1_poisson(families):
 def test_check_A3_constancy_report(families):
     f = families["binomial"]
     u = TangentCoord([0.75], [1.0])
-    report = check_A3_constancy(f, u, (1, 2, 4, 8, 16, 32))
-    assert report.passed and report.residual <= 1e-9
-    assert report.n_values == (1, 2, 4, 8, 16, 32)
+    assert check_A3_constancy(f, u, (1, 2, 4, 8, 16, 32)) <= 1e-9
 
 
 def test_check_A3_affine_report(families):
     for key in ("bernoulli", "categorical"):
         f = families[key]
         u = TangentCoord(f.theta_grid[1], np.ones(f.order))
-        report = check_A3_affine(f, u, seed=42)
-        assert report.passed and report.residual <= 1e-12
+        assert check_A3_affine(f, u, seed=42) <= 1e-12
 
 
 def test_ks_of_reference_to_itself_is_zero():
@@ -341,13 +338,3 @@ def test_quadrature_families_claim1_small_n(quadrature_families):
         coeff_norm = claim1_pipeline(f, u, 1)
         for n in (2, 3):
             assert abs(claim1_pipeline(f, u, n) - coeff_norm) <= 1e-9
-
-
-def test_axiom_report_fields(families):
-    f = families["bernoulli"]
-    u = TangentCoord([0.0], [1.0])
-    report = check_A1(f, u, u, 2, tol=1e-9)
-    assert report.axiom == "A1"
-    assert report.family == "bernoulli"
-    assert report.residual >= 0.0
-    assert report.passed == (report.residual <= report.tolerance)

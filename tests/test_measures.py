@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from infogeom.derived import AffineMap
 from infogeom.errors import AbsoluteContinuityError
+from infogeom.geometry import fisher_norm_functional, l1_perturbed_norm_functional
 from infogeom.measures import (
     FiniteMeasure,
     GaussianReference,
@@ -136,8 +137,9 @@ def test_tangent_pair_validation():
 def test_gaussian_reference_closed_forms():
     phi = GaussianReference(2)
     assert phi.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert phi.linear_l2_norm([3.0, 4.0]) == pytest.approx(5.0, abs=1e-14)
-    assert phi.linear_abs_moment([3.0, 4.0]) == pytest.approx(5.0 * np.sqrt(2.0 / np.pi), abs=1e-13)
+    assert fisher_norm_functional().eval(phi, [3.0, 4.0]) == pytest.approx(5.0, abs=1e-14)
+    l1 = l1_perturbed_norm_functional(1.0)
+    assert l1.eval(phi, [3.0, 4.0]) == pytest.approx(5.0 + 5.0 * np.sqrt(2.0 / np.pi), abs=1e-13)
 
 
 def _same_bits(ours, reference):

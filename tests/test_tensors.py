@@ -13,7 +13,6 @@ from infogeom.tensors import (
     odd_k_vanishing_check,
     polarize_symmetric4,
     power_tensor_field,
-    symmetric_power_eval,
 )
 
 LOG3 = math.log(3.0)
@@ -106,17 +105,20 @@ def test_higher_scaling_power_family_law(families):
 def test_symmetric_power_examples(families):
     f = families["bernoulli"]
     dirs = [np.ones(1)] * 4
-    assert symmetric_power_eval(f, 0.0, dirs, 1.0) == pytest.approx(0.1875, abs=1e-14)
-    assert symmetric_power_eval(f, 0.0, dirs, 0.0) == 0.0
+    assert power_tensor_field(f, 4, 1.0).eval(0.0, dirs) == pytest.approx(0.1875, abs=1e-14)
+    assert power_tensor_field(f, 4, 0.0).eval(0.0, dirs) == 0.0
+    with pytest.raises(ValueError):
+        power_tensor_field(f, 4, 1.0).eval(0.0, dirs[:3])
 
 
 def test_symmetric_power_permutation_invariance(families):
     f = families["categorical"]
     rng = np.random.default_rng(23)
     dirs = [rng.standard_normal(2) for _ in range(4)]
-    reference = symmetric_power_eval(f, [0.1, -0.2], dirs, 1.3)
+    quartic = power_tensor_field(f, 4, 1.3)
+    reference = quartic.eval([0.1, -0.2], dirs)
     for perm in itertools.permutations(range(4)):
-        value = symmetric_power_eval(f, [0.1, -0.2], [dirs[i] for i in perm], 1.3)
+        value = quartic.eval([0.1, -0.2], [dirs[i] for i in perm])
         assert value == pytest.approx(reference, abs=1e-12)
 
 
@@ -125,12 +127,13 @@ def test_symmetric_power_polarisation_reconstruction(families):
     for key in ("bernoulli", "categorical"):
         f = families[key]
         theta = f.theta_grid[1]
+        quartic = power_tensor_field(f, 4, 0.9)
 
         def diagonal(x):
-            return symmetric_power_eval(f, theta, [x] * 4, 0.9)
+            return quartic.eval(theta, [x] * 4)
 
         dirs = [rng.standard_normal(f.order) for _ in range(4)]
-        direct = symmetric_power_eval(f, theta, dirs, 0.9)
+        direct = quartic.eval(theta, dirs)
         assert abs(polarize_symmetric4(diagonal, dirs) - direct) <= 1e-8
 
 
@@ -169,6 +172,7 @@ def test_even_power_field_matches_quartic_formula(families):
     rng = np.random.default_rng(31)
     dirs = [rng.standard_normal(2) for _ in range(4)]
     field = power_tensor_field(f, 4, 1.3)
-    assert field.eval([0.1, -0.2], dirs) == pytest.approx(
-        symmetric_power_eval(f, [0.1, -0.2], dirs, 1.3), abs=1e-12
-    )
+    g = fisher_information(f, [0.1, -0.2], "B")
+    u, v, w, m = dirs
+    quartic = (u @ g @ v) * (w @ g @ m) + (u @ g @ w) * (v @ g @ m) + (u @ g @ m) * (v @ g @ w)
+    assert field.eval([0.1, -0.2], dirs) == pytest.approx(1.3 * quartic, abs=1e-12)
