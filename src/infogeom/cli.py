@@ -7,9 +7,13 @@ and candidate-functional residuals).
 
 Every CSV row carries: family, theta (semicolon-joined), n, quantity, value,
 tolerance, pass. A row with a tolerance passes when value <= tolerance; a row
-without one is informational and always passes; a check that raised is a row
-with value NaN that fails. Reals are written with 17 significant digits so
-repeated runs with the same configuration and seed are byte-identical.
+without one is informational and always passes. A check that raised writes a
+failing NaN row for every quantity it would have written, so each theta gets
+the same rows whether its checks pass or not. Reals are written with 17
+significant digits so repeated runs with the same configuration and seed are
+byte-identical. Tolerance defaults are those of ``_TOLERANCES``; ``--tol``
+overrides them by key (or all at once by a bare value or ``default=``), and
+an unknown key is a usage error.
 
 Exit codes: 0 every row passed, 1 usage error (or a config file or output
 path that cannot be opened), 2 at least one row has pass=false. The run
@@ -28,11 +32,13 @@ family, the rest configure the run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import re
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -58,6 +64,18 @@ _OPTIONS = {
     "theta_hi": "domain upper bounds, ;-joined",
 }
 _INT_DEFAULTS = {"seed": (42, 0), "cap": (derived.SUPPORT_CAP, 1), "k": (3, 2), "trials": (20, 1)}  # (default, min)
+
+# tolerance key -> default; axioms by family kind; ks has none, so its rows are informational unless --tol sets one
+_TOLERANCES = {
+    "axioms": {"discrete": 1e-9, "quadrature": 1e-6},
+    "a3_affine": 1e-12,
+    "ks": None,
+    "fd3": 1e-5,
+    "uniqueness": 1e-10,
+    "spread": 1e-10,
+    "route_ab": 1e-10,
+    "route_ac": 1e-6,
+}
 
 _DEFAULT_N = "1,2,4,8,16"
 _QUADRATURE_DEFAULT_N = "1,2,3"
@@ -96,35 +114,34 @@ class RunConfig:
     k: int
     trials: int
 
-    def tolerance(self, key: str, default: float) -> float:
-        if key in self.tol:
-            return self.tol[key]
-        return self.tol.get("default", default)
+    def tolerance(self, key: str) -> Optional[float]:
+        """The --tol value for key, else the --tol default, else the _TOLERANCES default."""
+        default = _TOLERANCES[key]
+        if isinstance(default, dict):
+            default = default[self.family.kind]
+        return self.tol.get(key, self.tol.get("default", default))
 
     def row(self, theta, n: int, quantity: str, value: float, tol: Optional[float] = None) -> Row:
         """A CSV row; it passes when it has no tolerance or value <= tol (never when value is NaN)."""
         return Row(self.family.name, _theta_str(theta), n, quantity, value, tol, tol is None or bool(value <= tol))
 
-    def guarded(self, rows: list, theta, n: int, quantity: str, tol: Optional[float], compute):
-        """Append compute()'s rows, or the row (theta, n, quantity, value, tol) if it returns a bare value.
+    def guarded(self, rows: list, theta, n: int, quantities: list, compute) -> list:
+        """Append the row (theta, n, name, value, tol) of each (name, tol) in quantities and return the values.
 
-        Returns compute()'s result. A numerical failure (InfoGeomError) is
-        reported on standard error and becomes a failing row for ``quantity``
-        with value NaN (and tolerance NaN when the check has none), so the run
-        goes on; the result is then NaN.
+        compute() returns one value per quantity. If it raises InfoGeomError, the
+        error goes to standard error and every quantity gets a failing NaN row
+        (tolerance NaN where it has none), so the rows do not depend on success.
         """
         try:
-            result = compute()
+            values = list(compute())
         except InfoGeomError as exc:
-            where = f"{self.family.name} theta={_theta_str(theta)} n={n} {quantity}"
-            print(f"[infogeom] {where}: {exc}", file=sys.stderr)
-            rows.append(self.row(theta, n, quantity, math.nan, math.nan if tol is None else tol))
-            return math.nan
-        if isinstance(result, list):
-            rows.extend(result)
-        else:
-            rows.append(self.row(theta, n, quantity, result, tol))
-        return result
+            names = ",".join(name for name, _ in quantities)
+            print(f"[infogeom] {self.family.name} theta={_theta_str(theta)} n={n} {names}: {exc}", file=sys.stderr)
+            values = [math.nan] * len(quantities)
+            quantities = [(name, math.nan if tol is None else tol) for name, tol in quantities]
+        for (name, tol), value in zip(quantities, values, strict=True):
+            rows.append(self.row(theta, n, name, value, tol))
+        return values
 
 
 def _fmt(x: float) -> str:
@@ -169,10 +186,6 @@ def _pairs(text: Optional[str], bare_key: Optional[str] = None):
         yield item, key, value
 
 
-def _parse_params(text: Optional[str]) -> dict:
-    return {key: value for _, key, value in _pairs(text)}
-
-
 def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(part) for part in text.split(";")])
@@ -210,6 +223,8 @@ def _parse_n_list(text: str) -> list:
 def _parse_tol(text: Optional[str]) -> dict:
     out = {}
     for item, key, value in _pairs(text, bare_key="default"):
+        if key != "default" and key not in _TOLERANCES:
+            raise UsageError(f"unknown tolerance key {key!r}; known keys: default, {', '.join(_TOLERANCES)}")
         try:
             out[key] = float(value)
         except ValueError as exc:
@@ -229,7 +244,7 @@ def _build_config(args) -> RunConfig:
         if opt["theta_lo"] is None or opt["theta_hi"] is None:
             raise UsageError("theta_lo and theta_hi must be given together")
         kwargs = {"theta_lo": _parse_vector(opt["theta_lo"]), "theta_hi": _parse_vector(opt["theta_hi"])}
-    family = make_family(opt["family"], _parse_params(opt["params"]), **kwargs)
+    family = make_family(opt["family"], {key: value for _, key, value in _pairs(opt["params"])}, **kwargs)
 
     n_text = opt["n"]
     if n_text is None:
@@ -256,33 +271,13 @@ def _build_config(args) -> RunConfig:
     )
 
 
-def _suite_directions(order: int):
-    a = np.ones(order)
-    b = np.array([1.5 if i % 2 == 0 else -0.5 for i in range(order)])
-    return a, b
-
-
-def _emit(rows: list, out: Optional[str]) -> None:
-    rows = sorted(rows, key=lambda r: (r.family, r.theta, r.n, r.quantity))
-    handle = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["family", "theta", "n", "quantity", "value", "tolerance", "pass"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.family,
-                    row.theta,
-                    row.n,
-                    row.quantity,
-                    _fmt(row.value),
-                    "" if row.tolerance is None else _fmt(row.tolerance),
-                    "true" if row.passed else "false",
-                ]
-            )
-    finally:
-        if out:
-            handle.close()
+def _emit(rows: list, handle) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["family", "theta", "n", "quantity", "value", "tolerance", "pass"])
+    for row in sorted(rows, key=lambda r: (r.family, r.theta, r.n, r.quantity)):
+        tolerance = "" if row.tolerance is None else _fmt(row.tolerance)
+        passed = "true" if row.passed else "false"
+        writer.writerow([row.family, row.theta, row.n, row.quantity, _fmt(row.value), tolerance, passed])
 
 
 def cmd_families() -> None:
@@ -300,16 +295,14 @@ def cmd_fisher(cfg: RunConfig) -> list:
     for theta in cfg.thetas:
         mats = {}
         for route in routes:
-
-            def matrix_rows():
-                mats[route] = fisher_information(cfg.family, theta, route=route)
-                return [cfg.row(theta, 1, f"fisher_{route}[{i},{j}]", float(mats[route][i, j])) for i, j in indices]
-
-            cfg.guarded(rows, theta, 1, f"fisher_{route}", None, matrix_rows)
-        if cfg.route == "all" and len(mats) == 3:
-            for other, default in (("B", 1e-10), ("C", 1e-6)):
-                gap = float(np.max(np.abs(mats["A"] - mats[other])))
-                tol = cfg.tolerance(f"route_a{other.lower()}", default)
+            mats[route] = cfg.guarded(
+                rows, theta, 1, [(f"fisher_{route}[{i},{j}]", None) for i, j in indices],
+                lambda: fisher_information(cfg.family, theta, route=route).ravel(),
+            )
+        if cfg.route == "all":  # a route that raised has NaN entries, so its gap rows are NaN and fail
+            for other in ("B", "C"):
+                gap = float(np.max(np.abs(np.subtract(mats["A"], mats[other]))))
+                tol = cfg.tolerance(f"route_a{other.lower()}")
                 rows.append(cfg.row(theta, 1, f"route_gap_A{other}", gap, tol))
     return rows
 
@@ -317,96 +310,68 @@ def cmd_fisher(cfg: RunConfig) -> list:
 def cmd_invariance(cfg: RunConfig) -> list:
     rows = []
     family, cap = cfg.family, cfg.cap
-    tol = cfg.tolerance("axioms", 1e-9 if family.kind == "discrete" else 1e-6)
-    affine_tol = cfg.tolerance("a3_affine", 1e-12)
-    a, b = _suite_directions(family.order)
+    axioms = cfg.tolerance("axioms")
+    a = np.ones(family.order)
+    b = np.array([1.5 if i % 2 == 0 else -0.5 for i in range(family.order)])
     first, last = cfg.n_list[0], cfg.n_list[-1]
     for theta in cfg.thetas:
         u = TangentCoord(theta, a)
         v = TangentCoord(theta, b)
         for n in cfg.n_list:
-            cfg.guarded(rows, theta, n, "A1", tol, lambda: invariance.check_A1(family, u, v, n))
-            cfg.guarded(rows, theta, n, "A2", tol, lambda: invariance.check_A2(family, u, v, n, support_cap=cap))
+            cfg.guarded(rows, theta, n, [("A1", axioms)], lambda: [invariance.check_A1(family, u, v, n)])
+            cfg.guarded(rows, theta, n, [("A2", axioms)], lambda: [invariance.check_A2(family, u, v, n, cap)])
         cfg.guarded(
-            rows,
-            theta,
-            last,
-            "A3-constancy",
-            tol,
-            lambda: invariance.check_A3_constancy(family, u, cfg.n_list, support_cap=cap),
+            rows, theta, last, [("A3-constancy", axioms)],
+            lambda: [invariance.check_A3_constancy(family, u, cfg.n_list, support_cap=cap)],
         )
         cfg.guarded(
-            rows,
-            theta,
-            first,
-            "A3-affine",
-            affine_tol,
-            lambda: invariance.check_A3_affine(family, u, n=first, seed=cfg.seed, support_cap=cap),
+            rows, theta, first, [("A3-affine", cfg.tolerance("a3_affine"))],
+            lambda: [invariance.check_A3_affine(family, u, first, seed=cfg.seed, support_cap=cap)],
         )
     return rows
 
 
 def cmd_clt(cfg: RunConfig) -> list:
     rows = []
-    ks_tol = cfg.tolerance("ks", None)
+    quantities = [("ks_max", cfg.tolerance("ks")), ("moment_gap", None)]
+    fields = attrgetter("ks_max", "moment_gap")
     for theta in cfg.thetas:
         for n in cfg.n_list:
-
-            def diagnostic_rows():
-                diag = invariance.clt_diagnostics(cfg.family, theta, n, support_cap=cfg.cap)
-                return [
-                    cfg.row(theta, n, "ks_max", diag.ks_max, ks_tol),
-                    cfg.row(theta, n, "moment_gap", diag.moment_gap),
-                ]
-
-            cfg.guarded(rows, theta, n, "ks_max", ks_tol, diagnostic_rows)
+            cfg.guarded(
+                rows, theta, n, quantities,
+                lambda: fields(invariance.clt_diagnostics(cfg.family, theta, n, cfg.cap)),
+            )
     return rows
 
 
 def cmd_tensor(cfg: RunConfig) -> list:
     rows = []
-    fd_tol = cfg.tolerance("fd3", 1e-5)
-    a = np.ones(cfg.family.order)
-    residual, exponent = f"scaling_residual_k{cfg.k}", f"scaling_exponent_k{cfg.k}"
+    family, k = cfg.family, cfg.k
+    a = np.ones(family.order)
+    scaling = [(f"scaling_residual_k{k}", None), (f"scaling_exponent_k{k}", None)]
+    fields = attrgetter("residual", "measured_exponent")
     for theta in cfg.thetas:
-        value = cfg.guarded(
-            rows,
-            theta,
-            1,
-            f"amari_chentsov_k{cfg.k}",
-            None,
-            lambda: tensors.amari_chentsov(cfg.family, theta, [a] * cfg.k),
+        (value,) = cfg.guarded(
+            rows, theta, 1, [(f"amari_chentsov_k{k}", None)],
+            lambda: [tensors.amari_chentsov(family, theta, [a] * k)],
         )
-        if cfg.k == 3:
+        if k == 3:  # value is NaN when amari_chentsov raised, so fd3_gap fails too
             cfg.guarded(
-                rows,
-                theta,
-                1,
-                "fd3_gap",
-                fd_tol,
-                lambda: abs(value - tensors.fd_third_derivative(cfg.family, theta, a)),
+                rows, theta, 1, [("fd3_gap", cfg.tolerance("fd3"))],
+                lambda: [abs(value - tensors.fd_third_derivative(family, theta, a))],
             )
-        for n in cfg.n_list:
-            if n == 1:
-                continue
-
-            def scaling_rows():
-                check = tensors.higher_scaling_check(cfg.family, theta, a, n, cfg.k, support_cap=cfg.cap)
-                return [
-                    cfg.row(theta, n, residual, check.residual),
-                    cfg.row(theta, n, exponent, check.measured_exponent),
-                ]
-
-            cfg.guarded(rows, theta, n, residual, None, scaling_rows)
+        for n in [n for n in cfg.n_list if n > 1]:
+            cfg.guarded(
+                rows, theta, n, scaling,
+                lambda: fields(tensors.higher_scaling_check(family, theta, a, n, k, cfg.cap)),
+            )
     return rows
 
 
 def cmd_uniqueness(cfg: RunConfig) -> list:
     rows = []
-    tol = cfg.tolerance("uniqueness", 1e-10)
-    spread_tol = cfg.tolerance("spread", 1e-10)
-    if len(cfg.n_list) < 2:
-        raise UsageError("uniqueness needs at least two n values")
+    family, cap = cfg.family, cfg.cap
+    tol = cfg.tolerance("uniqueness")
     n1, n2 = cfg.n_list[0], cfg.n_list[1]
     fisher_h = geometry.fisher_norm_functional()
     candidates = [
@@ -414,34 +379,25 @@ def cmd_uniqueness(cfg: RunConfig) -> list:
         ("3xfisher", geometry.scaled_norm_functional(fisher_h, 3.0), tol),
         ("l1_perturbed", geometry.l1_perturbed_norm_functional(0.1), None),
     ]
-    a = np.ones(cfg.family.order)
+    a = np.ones(family.order)
     for theta in cfg.thetas:
         u = TangentCoord(theta, a)
         for label, functional, check_tol in candidates:
             cfg.guarded(
-                rows,
-                theta,
-                n2,
-                f"uniqueness_residual[{label}]",
-                check_tol,
-                lambda: invariance.uniqueness_residual(functional, cfg.family, u, n1, n2, support_cap=cfg.cap),
+                rows, theta, n2, [(f"uniqueness_residual[{label}]", check_tol)],
+                lambda: [invariance.uniqueness_residual(functional, family, u, n1, n2, cap)],
             )
-    fisher_field = geometry.fisher_metric_field(cfg.family)
+    fisher_field = geometry.fisher_metric_field(family)
     fields = [
-        ("2.5xfisher", geometry.scaled_metric_field(fisher_field, 2.5), spread_tol),
-        ("sin_perturbed", geometry.sinusoidal_fisher_field(cfg.family), None),
+        ("2.5xfisher", geometry.scaled_metric_field(fisher_field, 2.5), cfg.tolerance("spread")),
+        ("sin_perturbed", geometry.sinusoidal_fisher_field(family), None),
     ]
-    theta0 = cfg.thetas[0]
+    recovered = attrgetter("c_hat", "spread")
     for label, metric_field, check_tol in fields:
-
-        def recover_rows():
-            result = invariance.recover_constant(metric_field, cfg.family, trials=cfg.trials, seed=cfg.seed)
-            return [
-                cfg.row(theta0, 1, f"recover_c_hat[{label}]", result.c_hat),
-                cfg.row(theta0, 1, f"recover_spread[{label}]", result.spread, check_tol),
-            ]
-
-        cfg.guarded(rows, theta0, 1, f"recover_spread[{label}]", check_tol, recover_rows)
+        cfg.guarded(
+            rows, cfg.thetas[0], 1, [(f"recover_c_hat[{label}]", None), (f"recover_spread[{label}]", check_tol)],
+            lambda: recovered(invariance.recover_constant(metric_field, family, cfg.trials, cfg.seed)),
+        )
     return rows
 
 
@@ -491,9 +447,14 @@ def main(argv=None) -> int:
             cmd_families()
             return 0
         cfg = _build_config(args)
-        print(f"[infogeom] {args.command}: family={cfg.family.name} seed={cfg.seed}", file=sys.stderr)
-        rows = _COMMANDS[args.command][0](cfg)
-        _emit(rows, cfg.out)
+        if args.command == "uniqueness" and len(cfg.n_list) < 2:
+            raise UsageError("uniqueness needs at least two n values")
+        # opened before any row is computed, so a path that cannot be written fails at once
+        output = open(cfg.out, "w", encoding="utf-8", newline="") if cfg.out else contextlib.nullcontext(sys.stdout)
+        with output as out:
+            print(f"[infogeom] {args.command}: family={cfg.family.name} seed={cfg.seed}", file=sys.stderr)
+            rows = _COMMANDS[args.command][0](cfg)
+            _emit(rows, out)
     except (UsageError, OSError) as exc:  # OSError: a config file or output path that cannot be opened
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

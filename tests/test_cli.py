@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import infogeom
 import infogeom.derived as derived
-from infogeom.cli import _OPTIONS, main
+import infogeom.invariance as invariance
+from infogeom.cli import _OPTIONS, _TOLERANCES, main
 
 
 def _run(capsys, argv):
@@ -145,6 +146,31 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     code, out, _ = _run(capsys, ["invariance", "--config", str(cfg), "--n", "1"])
     assert code == 0
     assert {r["n"] for r in _rows(out)} == {"1"}
+
+
+def test_unknown_tolerance_key_is_usage_error(tmp_path, capsys):
+    # a misspelt key would otherwise leave its check at the default tolerance and exit 0
+    config = tmp_path / "run.ini"
+    config.write_text("tol = axiom=1e-3\n", encoding="utf-8")
+    for argv, key in (["--tol", "kss=0.01"], "kss"), (["--config", str(config)], "axiom"):
+        code, out, err = _run(capsys, ["clt", "--family", "bernoulli", "--theta", "0", "--n", "1,2", *argv])
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == (
+            f"usage error: unknown tolerance key {key!r}; known keys: default, {', '.join(_TOLERANCES)}"
+        )
+
+
+@pytest.mark.parametrize("key", sorted(_TOLERANCES))
+def test_every_tolerance_key_sets_some_row(capsys, key):
+    # no key of the table is dead: each one, given by --tol, is the tolerance of some command's rows
+    commands = ["fisher", "invariance", "clt", "tensor", "uniqueness"]
+    flags = ["--family", "bernoulli", "--theta", "0", "--n", "1,2", "--route", "all", "--tol", f"{key}=1e-300"]
+    tolerances = set()
+    for command in commands:
+        code, out, _ = _run(capsys, [command, *flags])
+        assert code in (0, 2)
+        tolerances |= {float(r["tolerance"]) for r in _rows(out) if r["tolerance"]}
+    assert 1e-300 in tolerances
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
@@ -350,7 +376,7 @@ def test_tensor_theta_outside_box_is_a_failing_row(capsys):
     inside = _run(capsys, ["tensor", "--family", "bernoulli", "--theta", "0"])[1]
     assert [line for line in out.splitlines() if line.split(",")[1] != "20"] == inside.splitlines()
     outside = [r for r in _rows(out) if r["theta"] == "20"]
-    assert {r["quantity"] for r in outside} >= {"amari_chentsov_k3", "fd3_gap"}
+    assert {(r["n"], r["quantity"]) for r in outside} == {(r["n"], r["quantity"]) for r in _rows(inside)}
     assert all(math.isnan(float(r["value"])) and r["pass"] == "false" for r in outside)
 
 
@@ -360,17 +386,27 @@ def test_uniqueness_singular_recovery_is_a_failing_row(capsys):
     code, out, err = _run(capsys, [*argv, "--n", "1,2"])
     assert code == 2 and "numerically singular" in err
     rows = {r["quantity"]: r for r in _rows(out)}
-    for label in ("2.5xfisher", "sin_perturbed"):
-        assert math.isnan(float(rows[f"recover_spread[{label}]"]["value"]))
-        assert rows[f"recover_spread[{label}]"]["pass"] == "false"
+    for quantity in ("recover_c_hat", "recover_spread"):
+        for label in ("2.5xfisher", "sin_perturbed"):
+            assert math.isnan(float(rows[f"{quantity}[{label}]"]["value"]))
+            assert rows[f"{quantity}[{label}]"]["pass"] == "false"
     assert rows["uniqueness_residual[fisher]"]["pass"] == "true"
 
 
-def test_unopenable_paths_are_usage_errors(tmp_path, capsys):
+def test_unopenable_paths_are_usage_errors(monkeypatch, tmp_path, capsys):
+    # both fail before any row is computed
+    calls = []
+    original = invariance.clt_diagnostics
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(invariance, "clt_diagnostics", counting)
     missing = tmp_path / "missing"
     for extra in (["--config", str(missing / "run.ini")], ["--out", str(missing / "out.csv")]):
         code, out, err = _run(capsys, ["clt", "--family", "bernoulli", "--theta", "0", "--n", "1,2", *extra])
-        assert code == 1 and out == ""
+        assert code == 1 and out == "" and not calls
         assert err.splitlines()[-1].startswith("usage error: ") and str(missing) in err
         assert "Traceback" not in err
 
@@ -394,19 +430,32 @@ def _theta_components(draw, lo, hi):
     return tuple(parts)
 
 
+def _keys_by_theta(argv):
+    """Exit code of a quiet run and, per theta written, its set of (n, quantity)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    keys = {}
+    for row in _rows(out.getvalue()):
+        keys.setdefault(tuple(float(x) for x in row["theta"].split(";")), set()).add((row["n"], row["quantity"]))
+    return code, keys
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_numerical_trouble_never_crashes_a_run(data):
-    # every command, on a theta inside, on the edge of or outside the box and at any small cap, ends
-    # with exit code 0 or 2 and a row for every requested theta
+    # every command, on a theta inside, on the edge of or outside the box and at any small cap, ends with
+    # exit code 0 or 2, and every requested theta has the (n, quantity) rows of a theta in the middle of the
+    # box, passing or not; the recover_* rows of uniqueness belong to the first theta only
     command = data.draw(st.sampled_from(["fisher", "invariance", "clt", "tensor", "uniqueness"]))
     family = data.draw(st.sampled_from(sorted(_BOXES)))
     thetas = data.draw(st.lists(_theta_components(*_BOXES[family]), min_size=1, max_size=2, unique=True))
     cap = data.draw(st.integers(1, 50))
     theta_text = ",".join(";".join(repr(x) for x in theta) for theta in thetas)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([command, "--family", family, f"--theta={theta_text}", "--n", "1,2", "--cap", str(cap)])
+    flags = ["--family", family, "--n", "1,2", "--cap", str(cap), "--route", "all"]  # only fisher reads --route
+    code, written = _keys_by_theta([command, f"--theta={theta_text}", *flags])
     assert code in (0, 2)
-    written = {tuple(float(x) for x in row["theta"].split(";")) for row in _rows(out.getvalue())}
-    assert set(thetas) <= written
+    middle = ";".join("0" for _ in _BOXES[family][0])
+    (reference,) = _keys_by_theta([command, f"--theta={middle}", *flags])[1].values()
+    later = {key for key in reference if not key[1].startswith("recover_")}
+    assert [written.get(theta) for theta in thetas] == [reference] + [later] * (len(thetas) - 1)

@@ -131,6 +131,22 @@ def test_check_A3_affine_report(families):
         assert check_A3_affine(f, u, seed=42) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zero_direction_gives_exactly_zero_residual(families, data):
+    # a = 0 is a degenerate tangent: both sides of every axiom are exactly 0, and no check may divide by |a|
+    f = families[data.draw(st.sampled_from(["bernoulli", "categorical"]))]
+    theta = data.draw(st.sampled_from(list(f.theta_grid)))
+    n = data.draw(st.sampled_from([1, 2, 3]))
+    zero = TangentCoord(theta, np.zeros(f.order))
+    other = TangentCoord(theta, data.draw(st.lists(st.floats(-2.0, 2.0), min_size=f.order, max_size=f.order)))
+    for u, v in ((zero, other), (other, zero), (zero, zero)):
+        assert check_A1(f, u, v, n) == 0.0
+        assert check_A2(f, u, v, n) == 0.0
+    assert check_A3_constancy(f, zero, [n]) == 0.0
+    assert check_A3_affine(f, zero, n) == 0.0
+
+
 def test_ks_of_reference_to_itself_is_zero():
     assert ks_to_standard_normal(GaussianReference(1)) == 0.0
 
