@@ -50,7 +50,6 @@ from .geometry import (
     invariant_form,
     invariant_form_value,
     metric_eval,
-    polarize,
 )
 from .invariance import (
     check_A1,
@@ -72,13 +71,6 @@ from .measures import (
     push_forward,
     radon_nikodym,
 )
-from .tensors import (
-    SymmetricTensorField,
-    amari_chentsov,
-    amari_chentsov_field,
-    higher_scaling_check,
-    odd_k_vanishing_check,
-    power_tensor_field,
-)
+from .tensors import amari_chentsov, higher_scaling_check
 
 __version__ = "0.1.0"

@@ -58,10 +58,6 @@ class AffineMap:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", c)
 
-    @property
-    def dim(self) -> int:
-        return self.offset.shape[0]
-
     def apply(self, y):
         arr = np.asarray(y, dtype=float)
         return arr @ self.matrix.T + self.offset

@@ -83,22 +83,6 @@ class TangentCoord:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "a", a)
 
-    def __add__(self, other: "TangentCoord") -> "TangentCoord":
-        require_shared_base(self, other)
-        return TangentCoord(self.theta, self.a + other.a)
-
-    def __sub__(self, other: "TangentCoord") -> "TangentCoord":
-        require_shared_base(self, other)
-        return TangentCoord(self.theta, self.a - other.a)
-
-    def __mul__(self, scalar) -> "TangentCoord":
-        return TangentCoord(self.theta, float(scalar) * self.a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TangentCoord":
-        return TangentCoord(self.theta, -self.a)
-
 
 def require_shared_base(u: TangentCoord, v: TangentCoord) -> None:
     """Raise :class:`BasePointMismatchError` unless u and v sit at the same theta."""

@@ -1,11 +1,13 @@
-"""Metric fields, norm functionals and polarisation.
+"""Metric fields, norm functionals and the invariant form.
 
 A :class:`MetricField` assigns an SPD matrix to each admissible natural
 parameter; a :class:`NormFunctional` acts on pairs (P, f P) where P is a
 finite measure or the analytic Gaussian reference and f is given either as
 a linear coefficient vector or as a per-point function. Candidate
 functionals other than the Fisher one are first-class values so the
-invariance suite can quantify over them.
+invariance suite can quantify over them. The invariant form integrates the
+product of two Radon-Nikodym derivatives against their shared base, the
+chart-free Fisher inner product of two tangent pairs.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ class NormFunctional:
                 raise ValueError("coefficient dimension mismatch")
             return float(self.gauss_fn(coeff))
         return float(self.finite_fn(base.weights, point_values(base, f)))
-
-    __call__ = eval
 
     def eval_values(self, base: FiniteMeasure, values) -> float:
         """Evaluate with precomputed per-point values (finite supports only)."""
@@ -160,12 +160,6 @@ def metric_eval(field: MetricField, u: TangentCoord, v: TangentCoord) -> float:
     """Bilinear value a^T g(theta) b for tangent vectors at the same theta."""
     require_shared_base(u, v)
     return float(u.a @ field.matrix(u.theta) @ v.a)
-
-
-def polarize(h_squared: Callable[[TangentCoord], float], u: TangentCoord, v: TangentCoord) -> float:
-    """Recover the bilinear value from diagonal values: [h2(u+v) - h2(u-v)] / 4."""
-    require_shared_base(u, v)
-    return (float(h_squared(u + v)) - float(h_squared(u - v))) / 4.0
 
 
 def invariant_form(pair_u: TangentPair, pair_v: TangentPair) -> float:

@@ -1,30 +1,23 @@
-"""Higher-order symmetric tensors on exponential families.
+"""Higher-order score-product tensors on exponential families.
 
 The order-k statistic tensor integrates k directional scores against the
 model distribution (the order-2 case is the Fisher quadratic form, order 3
-the third mixed cumulant of the statistic). Alongside it live the scaling
-probe for the n^{k/2} law on derived families, the symmetrized powers of the
-Fisher form with their exact quartic polarisation, and the parity check that
-forces every odd-order member of the c (g^F)^{k/2} family to vanish.
+the third mixed cumulant of the statistic). Alongside it live the
+central-difference third derivative of the log-partition, an independent
+route to the order-3 value, and the scaling probe that compares the order-k
+diagonal integral on derived families with the n^{k/2} law.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .derived import SUPPORT_CAP, nef_tangent
 from .errors import DomainError
-from .expfam import (
-    ExpFamily,
-    TangentCoord,
-    cov_statistic,
-    density_weights,
-    log_partition_shift,
-)
+from .expfam import ExpFamily, TangentCoord, density_weights, log_partition_shift
 from .measures import centered, radon_nikodym
 
 FD3_STEP = 1e-3
@@ -41,93 +34,6 @@ def amari_chentsov(family: ExpFamily, theta, dirs: Sequence) -> float:
     for a in dirs:
         prod *= c @ a
     return float(np.sum(dw * prod))
-
-
-@dataclass(frozen=True, eq=False)
-class SymmetricTensorField:
-    """Order-k tensor field over a family: (theta, k directions) -> real."""
-
-    name: str
-    family: ExpFamily
-    order: int
-    eval_fn: Callable[[np.ndarray, tuple], float]
-
-    def eval(self, theta, dirs: Sequence) -> float:
-        dirs = tuple(np.asarray(a, dtype=float).reshape(-1) for a in dirs)
-        if len(dirs) != self.order:
-            raise ValueError(f"tensor of order {self.order} takes {self.order} directions")
-        return float(self.eval_fn(np.asarray(theta, dtype=float).reshape(-1), dirs))
-
-
-def amari_chentsov_field(family: ExpFamily, order: int) -> SymmetricTensorField:
-    if int(order) < 2:
-        raise ValueError("order must be at least 2")
-    return SymmetricTensorField(
-        name=f"score-product-k{order}[{family.name}]",
-        family=family,
-        order=int(order),
-        eval_fn=lambda theta, dirs: amari_chentsov(family, theta, dirs),
-    )
-
-
-def _pairings(indices: tuple):
-    if not indices:
-        yield ()
-        return
-    first, rest = indices[0], indices[1:]
-    for i in range(len(rest)):
-        for tail in _pairings(rest[:i] + rest[i + 1 :]):
-            yield ((first, rest[i]),) + tail
-
-
-def power_tensor_field(family: ExpFamily, order: int, c: float) -> SymmetricTensorField:
-    """The candidate family c (g^F)^{k/2}.
-
-    Even orders give the symmetrized tensor power (sum over perfect pairings
-    of Fisher quadratic forms). Odd orders are defined on the diagonal only,
-    as c g^F(u, u)^{k/2}; the parity check shows such a member can satisfy
-    multilinearity only with c = 0.
-    """
-    k = int(order)
-    if k < 2:
-        raise ValueError("order must be at least 2")
-    c = float(c)
-
-    if k % 2 == 0:
-        matchings = tuple(_pairings(tuple(range(k))))
-
-        def even_eval(theta, dirs):
-            sigma = cov_statistic(family, theta)
-            forms = {}
-
-            def g(i, j):
-                key = (min(i, j), max(i, j))
-                if key not in forms:
-                    forms[key] = float(dirs[key[0]] @ sigma @ dirs[key[1]])
-                return forms[key]
-
-            return c * sum(
-                float(np.prod([g(i, j) for i, j in matching])) for matching in matchings
-            )
-
-        eval_fn = even_eval
-    else:
-
-        def odd_eval(theta, dirs):
-            for a in dirs[1:]:
-                if not np.array_equal(a, dirs[0]):
-                    raise ValueError("odd-order power tensors are defined on the diagonal only")
-            form = float(dirs[0] @ cov_statistic(family, theta) @ dirs[0])
-            return c * form ** (k / 2.0)
-
-        eval_fn = odd_eval
-
-    return SymmetricTensorField(
-        name=f"{c}*fisher^{k}/2[{family.name}]",
-        family=family,
-        order=k,
-        eval_fn=eval_fn,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,39 +83,6 @@ def higher_scaling_check(
     else:
         exponent = float("nan")
     return ScalingCheck(order=k, n=n, lhs=lhs, rhs=rhs, residual=residual, measured_exponent=exponent)
-
-
-def polarize_symmetric4(diagonal: Callable[[np.ndarray], float], dirs: Sequence) -> float:
-    """Recover a symmetric quartic tensor from its diagonal D(x) = G(x,x,x,x).
-
-    Fourth-order finite differencing over subset sums (inclusion-exclusion):
-    G(a,b,c,e) = (1/24) sum_{S} (-1)^{4-|S|} D(sum_{s in S} s).
-    """
-    dirs = [np.asarray(a, dtype=float).reshape(-1) for a in dirs]
-    if len(dirs) != 4:
-        raise ValueError("quartic polarisation takes exactly four directions")
-    total = 0.0
-    for r in range(1, 5):
-        sign = (-1.0) ** (4 - r)
-        for subset in itertools.combinations(range(4), r):
-            total += sign * float(diagonal(sum(dirs[i] for i in subset)))
-    return total / 24.0
-
-
-def odd_k_vanishing_check(tensor: SymmetricTensorField, theta, a) -> float:
-    """Parity obstruction at odd order: deviation of the tensor from zero.
-
-    An odd-order tensor whose diagonal is a function of the Fisher quadratic
-    form is even in the direction, while multilinearity forces it to be odd;
-    the only consistent value is zero. Returns the larger of the even/odd
-    clash |eval(a...) + eval(-a...)| / 2 and the plain deviation |eval(a...)|.
-    """
-    if tensor.order % 2 == 0:
-        raise ValueError("this check applies to odd orders only")
-    a = np.asarray(a, dtype=float).reshape(-1)
-    plus = tensor.eval(theta, (a,) * tensor.order)
-    minus = tensor.eval(theta, (-a,) * tensor.order)
-    return max(abs(plus + minus) / 2.0, abs(plus))
 
 
 def fd_third_derivative(family: ExpFamily, theta, a, step: float = FD3_STEP) -> float:

@@ -34,12 +34,7 @@ from infogeom.invariance import (
     recover_constant,
     uniqueness_residual,
 )
-from infogeom.tensors import (
-    amari_chentsov,
-    fd_third_derivative,
-    odd_k_vanishing_check,
-    power_tensor_field,
-)
+from infogeom.tensors import amari_chentsov, fd_third_derivative
 
 LOG3 = math.log(3.0)
 
@@ -181,38 +176,15 @@ def test_criterion_7_uniqueness_witness(families):
 
 
 def test_criterion_8_tensors(families):
+    # The k = 3 value against its closed form and against an independent FD route. Permutation
+    # symmetry and odd-order vanishing of symmetrized Fisher powers are not criteria: a sum over
+    # every pairing is symmetric by construction and the c = 0 power is 0.0 * form**(k/2), so
+    # each would compare a quantity with itself.
     f = families["bernoulli"]
     value = amari_chentsov(f, LOG3, [np.ones(1)] * 3)
     fd_gap = abs(value - fd_third_derivative(f, LOG3, np.ones(1)))
-
-    cat = families["categorical"]
-    rng = np.random.default_rng(8)
-    dirs = [rng.standard_normal(2) for _ in range(4)]
-    quartic = power_tensor_field(cat, 4, 1.0)
-    reference = quartic.eval([0.3, -0.1], dirs)
-    perm_gap = 0.0
-    import itertools
-
-    for perm in itertools.permutations(range(4)):
-        perm_gap = max(
-            perm_gap,
-            abs(quartic.eval([0.3, -0.1], [dirs[i] for i in perm]) - reference),
-        )
-
-    vanishing = 0.0
-    for fam in (f, cat):
-        for k in (3, 5):
-            field = power_tensor_field(fam, k, 0.0)
-            for theta in fam.theta_grid:
-                vanishing = max(vanishing, odd_k_vanishing_check(field, theta, np.ones(fam.order)))
-
-    ok = abs(value + 0.09375) <= 1e-12 and fd_gap <= 1e-5 and perm_gap <= 1e-12 and vanishing <= 1e-10
-    _report(
-        8,
-        "higher-order tensors",
-        ok,
-        f"(k3 {value}, fd gap {fd_gap:.1e}, perm {perm_gap:.1e}, odd-k {vanishing:.1e})",
-    )
+    ok = abs(value + 0.09375) <= 1e-12 and fd_gap <= 1e-5
+    _report(8, "higher-order tensors", ok, f"(k3 {value}, fd gap {fd_gap:.1e})")
 
 
 def test_criterion_9_invariant_form_equivalence(families):

@@ -304,14 +304,3 @@ def test_full_rank_validation_rejects_degenerate_statistic():
             stat_values=np.zeros((2, 1)),
             theta_domain=ThetaBox([-1.0], [1.0]),
         )
-
-
-def test_tangent_coord_vector_space():
-    u = TangentCoord([0.5], [1.0])
-    v = TangentCoord([0.5], [2.0])
-    assert (u + v).a.tolist() == [3.0]
-    assert (2.0 * u - v).a.tolist() == [0.0]
-    from infogeom.errors import BasePointMismatchError
-
-    with pytest.raises(BasePointMismatchError):
-        u + TangentCoord([0.6], [1.0])
