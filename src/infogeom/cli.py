@@ -239,12 +239,8 @@ def _build_config(args) -> RunConfig:
     opt = {key: file_values.get(key) if getattr(args, key) is None else getattr(args, key) for key in _OPTIONS}
     if not opt["family"]:
         raise UsageError("--family is required (flag or config file)")
-    kwargs = {}
-    if opt["theta_lo"] is not None or opt["theta_hi"] is not None:
-        if opt["theta_lo"] is None or opt["theta_hi"] is None:
-            raise UsageError("theta_lo and theta_hi must be given together")
-        kwargs = {"theta_lo": _parse_vector(opt["theta_lo"]), "theta_hi": _parse_vector(opt["theta_hi"])}
-    family = make_family(opt["family"], {key: value for _, key, value in _pairs(opt["params"])}, **kwargs)
+    bounds = {key: None if opt[key] is None else _parse_vector(opt[key]) for key in ("theta_lo", "theta_hi")}
+    family = make_family(opt["family"], {key: value for _, key, value in _pairs(opt["params"])}, **bounds)
 
     n_text = opt["n"]
     if n_text is None:

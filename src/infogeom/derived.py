@@ -32,11 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankError, SupportBlowupError
-from .expfam import ExpFamily, TangentCoord, cov_statistic, density_weights, mean_statistic
+from .expfam import RANK_EPS, ExpFamily, TangentCoord, cov_statistic, density_weights, mean_statistic
 from .measures import FiniteMeasure, MergePlan, SignedFiniteMeasure, TangentPair, push_forward
 
 SUPPORT_CAP = 2_000_000
-RANK_EPS = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +61,6 @@ class AffineMap:
         arr = np.asarray(y, dtype=float)
         return arr @ self.matrix.T + self.offset
 
-    # vectorized hook used by measures.push_forward
-    apply_batch = apply
     __call__ = apply
 
     def inverse(self) -> "AffineMap":

@@ -2,11 +2,12 @@
 
 A :class:`MetricField` assigns an SPD matrix to each admissible natural
 parameter; a :class:`NormFunctional` acts on pairs (P, f P) where P is a
-finite measure or the analytic Gaussian reference and f is given either as
-a linear coefficient vector or as a per-point function. Candidate
-functionals other than the Fisher one are first-class values so the
-invariance suite can quantify over them. The invariant form integrates the
-product of two Radon-Nikodym derivatives against their shared base, the
+finite measure or the analytic Gaussian reference. ``eval`` takes f linear,
+f(y) = c . y, as its coefficient vector c; any other f goes through
+``eval_values`` as its values at the support points of a finite P.
+Candidate functionals other than the Fisher one are first-class values so
+the invariance suite can quantify over them. The invariant form integrates
+the product of two Radon-Nikodym derivatives against their shared base, the
 chart-free Fisher inner product of two tangent pairs.
 """
 
@@ -24,22 +25,6 @@ from .measures import FiniteMeasure, GaussianReference, TangentPair, radon_nikod
 METRIC_SYMMETRY_TOL = 1e-12
 
 
-def point_values(measure: FiniteMeasure, f) -> np.ndarray:
-    """Resolve f to per-point values on the support of ``measure``.
-
-    ``f`` is either a callable (applied to each support point, a 1-D
-    coordinate array) or a linear coefficient vector c meaning f(y) = c . y.
-    """
-    if callable(f):
-        return np.array([float(np.asarray(f(p)).reshape(())) for p in measure.points])
-    coeff = np.asarray(f, dtype=float).reshape(-1)
-    if coeff.shape[0] != measure.dim:
-        raise ValueError(
-            f"linear coefficient dimension {coeff.shape[0]} does not match support dimension {measure.dim}"
-        )
-    return measure.points @ coeff
-
-
 @dataclass(frozen=True, eq=False)
 class NormFunctional:
     """Norm-like functional H(P, f P) on base-measure/function pairs.
@@ -53,17 +38,16 @@ class NormFunctional:
     finite_fn: Callable[[np.ndarray, np.ndarray], float]
     gauss_fn: Optional[Callable[[np.ndarray], float]] = None
 
-    def eval(self, base, f) -> float:
+    def eval(self, base, coeff) -> float:
+        """Evaluate at f(y) = coeff . y, with ``coeff`` of the dimension of ``base``."""
+        c = np.asarray(coeff, dtype=float).reshape(-1)
+        if c.shape[0] != base.dim:
+            raise ValueError(f"coefficient dimension {c.shape[0]} does not match support dimension {base.dim}")
         if isinstance(base, GaussianReference):
             if self.gauss_fn is None:
                 raise TypeError(f"{self.name} has no closed form on the Gaussian reference")
-            if callable(f):
-                raise TypeError("the Gaussian reference takes linear coefficient vectors only")
-            coeff = np.asarray(f, dtype=float).reshape(-1)
-            if coeff.shape[0] != base.dim:
-                raise ValueError("coefficient dimension mismatch")
-            return float(self.gauss_fn(coeff))
-        return float(self.finite_fn(base.weights, point_values(base, f)))
+            return float(self.gauss_fn(c))
+        return float(self.finite_fn(base.weights, base.points @ c))
 
     def eval_values(self, base: FiniteMeasure, values) -> float:
         """Evaluate with precomputed per-point values (finite supports only)."""
@@ -115,7 +99,6 @@ class MetricField:
     """Matrix field theta -> SPD matrix over a family's parameter domain."""
 
     name: str
-    family: ExpFamily
     matrix_fn: Callable[[np.ndarray], np.ndarray]
 
     def matrix(self, theta) -> np.ndarray:
@@ -128,7 +111,6 @@ class MetricField:
 def fisher_metric_field(family: ExpFamily, route: str = "A") -> MetricField:
     return MetricField(
         name=f"fisher[{family.name},{route}]",
-        family=family,
         matrix_fn=lambda t: fisher_information(family, t, route=route),
     )
 
@@ -139,7 +121,6 @@ def scaled_metric_field(field: MetricField, c: float) -> MetricField:
         raise ValueError("scale must be positive")
     return MetricField(
         name=f"{c}*{field.name}",
-        family=field.family,
         matrix_fn=lambda t: c * field.matrix_fn(t),
     )
 
@@ -151,7 +132,6 @@ def sinusoidal_fisher_field(family: ExpFamily, amplitude: float = 0.2) -> Metric
         raise ValueError("amplitude must lie in (0, 1)")
     return MetricField(
         name=f"sin-perturbed[{family.name}]",
-        family=family,
         matrix_fn=lambda t: (1.0 + a * math.sin(float(t[0]))) * cov_statistic(family, t),
     )
 

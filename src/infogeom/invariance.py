@@ -50,6 +50,7 @@ from .measures import (
     GaussianReference,
     SignedFiniteMeasure,
     TangentPair,
+    ndtr,
     push_forward,
     radon_nikodym,
 )
@@ -248,23 +249,20 @@ class CltDiagnostics:
 
 
 def ks_to_standard_normal(marginal) -> float:
-    """Kolmogorov-Smirnov distance of a one-dimensional law to the standard normal.
+    """Kolmogorov-Smirnov distance of a one-dimensional finite measure to the standard normal.
 
-    For a finite measure this is the exact sup-distance between its step CDF
-    and the analytic normal CDF, attained at support points. The analytic
-    reference itself gives 0. A finite measure's one-dimensional support is
+    This is the exact sup-distance between its step CDF and the analytic
+    normal CDF, attained at support points. The one-dimensional support is
     canonical, hence strictly increasing (quantization is monotone), so the
     step CDF is the cumulative sum of the weights as stored.
     """
     if marginal.dim != 1:
         raise ValueError("the KS diagnostic compares one-dimensional marginals")
-    if isinstance(marginal, GaussianReference):
-        return 0.0
     pts = marginal.points[:, 0]
     wts = marginal.weights
     upper = np.cumsum(wts)
     lower = upper - wts
-    cdf = GaussianReference.cdf(pts)
+    cdf = ndtr(pts)
     return float(max(np.max(np.abs(upper - cdf)), np.max(np.abs(lower - cdf))))
 
 

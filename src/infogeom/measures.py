@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .errors import AbsoluteContinuityError
 
 SIGNIFICANT_DIGITS = 12
 TANGENT_MASS_TOL = 1e-10
-
-PointMap = Callable[[np.ndarray], Union[np.ndarray, float]]
 
 
 def quantize(values) -> np.ndarray:
@@ -268,11 +266,6 @@ class GaussianReference:
             raise ValueError("dimension must be a positive integer")
         object.__setattr__(self, "dim", int(self.dim))
 
-    @staticmethod
-    def cdf(x):
-        """Standard normal CDF, per axis (same for every marginal)."""
-        return ndtr(x)
-
 
 @dataclass(frozen=True, eq=False)
 class TangentPair:
@@ -295,24 +288,15 @@ class TangentPair:
                 raise ValueError("direction support must lie inside base support")
 
 
-def push_forward(measure, point_map: PointMap):
+def push_forward(measure, point_map):
     """Image measure under a point map phi: R^m -> R^k.
 
-    Image points phi(x) that coincide after quantization have their weights
-    summed; total mass is preserved. Works for both signedness classes and
-    returns the same class as the input. Objects exposing ``apply_batch``
-    (affine maps) are applied vectorized, anything else is called per point
-    with a 1-D coordinate array.
+    ``point_map`` is called once, on the (N, m) array of support points, and
+    returns the (N, k) images (or (N,) for k = 1). Images that coincide after
+    quantization have their weights summed, so total mass is preserved.
+    Returns the same signedness class as ``measure``.
     """
-    batch = getattr(point_map, "apply_batch", None)
-    if batch is not None:
-        images = np.asarray(batch(measure.points), dtype=float)
-    else:
-        rows = [np.atleast_1d(np.asarray(point_map(p), dtype=float)) for p in measure.points]
-        images = np.vstack(rows)
-    if images.ndim == 1:
-        images = images.reshape(-1, 1)
-    return type(measure)(images, measure.weights)
+    return type(measure)(point_map(measure.points), measure.weights)
 
 
 def moments(measure):

@@ -40,8 +40,6 @@ def amari_chentsov(family: ExpFamily, theta, dirs: Sequence) -> float:
 class ScalingCheck:
     """Scaling probe of the order-k derived-family tensor against n^{k/2}."""
 
-    order: int
-    n: int
     lhs: float
     rhs: float
     residual: float
@@ -82,7 +80,7 @@ def higher_scaling_check(
         exponent = float(np.log(lhs / rhs) / np.log(n))
     else:
         exponent = float("nan")
-    return ScalingCheck(order=k, n=n, lhs=lhs, rhs=rhs, residual=residual, measured_exponent=exponent)
+    return ScalingCheck(lhs=lhs, rhs=rhs, residual=residual, measured_exponent=exponent)
 
 
 def fd_third_derivative(family: ExpFamily, theta, a, step: float = FD3_STEP) -> float:

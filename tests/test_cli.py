@@ -128,6 +128,12 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+def test_theta_lo_without_theta_hi_exits_1(capsys):
+    code, out, err = _run(capsys, ["invariance", "--family", "bernoulli", "--theta-lo", "-3"])
+    assert code == 1 and out == ""
+    assert "theta_lo and theta_hi must be given together" in err
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(

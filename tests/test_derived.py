@@ -397,10 +397,10 @@ def _statistic_lookup(family):
     }
     m = family.base.dim
 
-    def averaged(x):
-        n = x.shape[0] // m
-        blocks = [table[tuple(quantize(x[j * m : (j + 1) * m]))] for j in range(n)]
-        return np.mean(blocks, axis=0)
+    def averaged(rows):
+        n = rows.shape[1] // m
+        blocks = [[table[tuple(quantize(x[j * m : (j + 1) * m]))] for j in range(n)] for x in rows]
+        return np.mean(blocks, axis=1)
 
     return averaged
 

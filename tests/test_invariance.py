@@ -32,7 +32,7 @@ from infogeom.invariance import (
     recover_constant,
     uniqueness_residual,
 )
-from infogeom.measures import FiniteMeasure, GaussianReference
+from infogeom.measures import FiniteMeasure
 
 LOG3 = math.log(3.0)
 
@@ -145,10 +145,6 @@ def test_zero_direction_gives_exactly_zero_residual(families, data):
         assert check_A2(f, u, v, n) == 0.0
     assert check_A3_constancy(f, zero, [n]) == 0.0
     assert check_A3_affine(f, zero, n) == 0.0
-
-
-def test_ks_of_reference_to_itself_is_zero():
-    assert ks_to_standard_normal(GaussianReference(1)) == 0.0
 
 
 def _ks_after_argsort(marginal):
@@ -343,7 +339,7 @@ def test_recover_constant_detects_sinusoidal(families):
 
 def test_recover_constant_degenerate_raises(families):
     f = families["bernoulli"]
-    zero_field = MetricField("zero", f, lambda t: np.zeros((1, 1)))
+    zero_field = MetricField("zero", lambda t: np.zeros((1, 1)))
     with pytest.raises(RankError):
         recover_constant(zero_field, f, trials=3, seed=0)
 
