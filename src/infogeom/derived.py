@@ -2,11 +2,16 @@
 
 ``Q_n`` is the distribution of the mean of n IID draws of the statistic; it
 is computed by exact pairwise convolution of ``Q_1`` with quantized support
-merging, followed by a 1/n coordinate scaling. Product spaces X^n are never
-materialized here (a small index-product helper is provided for n <= 3
-cross-checks). Convolution growth is family dependent, so an explicit
-support cap turns blowup into :class:`SupportBlowupError` instead of a
-silent approximation.
+merging, followed by a 1/n coordinate scaling. A sum of two integer supports
+(the lattice families) is merged by integer cells instead (``_sum_cells``):
+each factor point gets its row-major index in the grid of the sums, so a
+pair's cell is the sum of its factors' cells and the (pairs, m) array of
+sums is never made. Integers below 10**12 in absolute value are their own
+quantized keys, so the plan is bitwise the one of the quantized route, which
+any other step takes. Product spaces X^n are never materialized here (a
+small index-product helper is provided for n <= 3 cross-checks).
+Convolution growth is family dependent, so an explicit support cap turns
+blowup into :class:`SupportBlowupError` instead of a silent approximation.
 
 ``nef_distribution`` keeps one store of ``Q_n`` builds, for the most recent
 (family, support cap). The support of ``Q_n`` does not depend on theta, only
@@ -26,6 +31,7 @@ one; measures are immutable, so the function stays observably pure.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -33,7 +39,7 @@ import numpy as np
 
 from .errors import RankError, SupportBlowupError
 from .expfam import RANK_EPS, ExpFamily, TangentCoord, cov_statistic, density_weights, mean_statistic
-from .measures import FiniteMeasure, MergePlan, SignedFiniteMeasure, TangentPair, push_forward
+from .measures import FiniteMeasure, MergePlan, SignedFiniteMeasure, TangentPair, integer_keyed, push_forward
 
 SUPPORT_CAP = 2_000_000
 
@@ -100,14 +106,46 @@ def _extension_size(n) -> int:
     return n
 
 
-def _sum_plan(p: FiniteMeasure, q: FiniteMeasure, support_cap: int) -> MergePlan:
-    """Merge plan of the pairwise sums of p's and q's points; SupportBlowupError past the cap."""
-    pairs = p.size * q.size
+def _sum_cells(a: np.ndarray, b: np.ndarray):
+    """Cells of the pairwise sums a_i + b_j in the row-major grid of their box, flattened over (i, j).
+
+    The cell of a sum is the cell of a_i plus the cell of b_j, so one outer
+    add of two short vectors numbers every pair, in the key order of the
+    sums. uint16 up to 65,535 cells lets numpy's stable argsort run a radix
+    sort. None, for the quantized route, unless every point and every sum is
+    ``integer_keyed`` and the grid fits int64.
+    """
+    lo_a, lo_b = a.min(axis=0), b.min(axis=0)
+    lo, hi = lo_a + lo_b, a.max(axis=0) + b.max(axis=0)
+    if not (integer_keyed(a) and integer_keyed(b) and integer_keyed([lo, hi])):
+        return None
+    extent = [int(e) + 1 for e in hi - lo]
+    cells = math.prod(extent)
+    if cells >= 2**63:
+        return None
+    strides = np.array([math.prod(extent[d + 1:]) for d in range(len(extent))], dtype=np.int64)
+    dtype = np.uint16 if cells <= 65_535 else np.uint32 if cells <= 2**32 else np.int64
+    ca = ((a - lo_a).astype(np.int64) @ strides).astype(dtype)
+    cb = ((b - lo_b).astype(np.int64) @ strides).astype(dtype)
+    return (ca[:, None] + cb[None, :]).reshape(-1)
+
+
+def _sum_plan(a: np.ndarray, b: np.ndarray, support_cap: int) -> MergePlan:
+    """Merge plan of the pairwise sums a_i + b_j of two point arrays; SupportBlowupError past the cap.
+
+    Integer points are merged by ``_sum_cells`` without making the sums,
+    others by the quantized keys of the (pairs, m) array of sums.
+    """
+    pairs = a.shape[0] * b.shape[0]
     if pairs > 4 * support_cap:
         raise SupportBlowupError(
             f"convolution needs {pairs} point pairs, above the working cap {4 * support_cap}"
         )
-    plan = MergePlan.build((p.points[:, None, :] + q.points[None, :, :]).reshape(pairs, p.dim))
+    cells = _sum_cells(a, b)
+    if cells is None:
+        plan = MergePlan.build((a[:, None, :] + b[None, :, :]).reshape(pairs, a.shape[1]))
+    else:
+        plan = MergePlan.from_cells(cells, lambda rows: a[rows // b.shape[0]] + b[rows % b.shape[0]])
     support = plan.points.shape[0]
     if support > support_cap:
         raise SupportBlowupError(f"convolution support has {support} points, above the cap {support_cap}")
@@ -121,7 +159,7 @@ def _convolved(plan: MergePlan, p: FiniteMeasure, q: FiniteMeasure) -> FiniteMea
 
 def convolve(p: FiniteMeasure, q: FiniteMeasure, support_cap: int = SUPPORT_CAP) -> FiniteMeasure:
     """Distribution of the sum of independent draws from p and q (exact)."""
-    return _convolved(_sum_plan(p, q, support_cap), p, q)
+    return _convolved(_sum_plan(p.points, q.points, support_cap), p, q)
 
 
 def nef_base(family: ExpFamily, theta) -> FiniteMeasure:
@@ -149,7 +187,7 @@ class _QnStore:
             p, q = self._sum(a), self._sum(b)
             plan = self.plans.get((a, b))
             if plan is None:
-                plan = self.plans[(a, b)] = _sum_plan(p, q, self.support_cap)
+                plan = self.plans[(a, b)] = _sum_plan(p.points, q.points, self.support_cap)
             total = self.sums[m] = _convolved(plan, p, q)
         return total
 

@@ -13,7 +13,13 @@ Support canonicalization: coordinates are compared after rounding to 12
 significant decimal digits, coinciding points are merged (weights summed)
 and rows are sorted lexicographically by the rounded key. Lattice-valued
 supports (Bernoulli, binomial, ...) therefore merge exactly under sums and
-affine maps, while quadrature nodes keep their full stored precision.
+affine maps, while quadrature nodes keep their full stored precision. An
+integer of absolute value below 10**12 is its own 12-digit key, so points
+whose coordinates are all such integers (``integer_keyed``) may instead be
+grouped by an integer cell index that numbers them in key order
+(``MergePlan.from_cells``): the cells split them into the same groups, in
+the same order, as the keys, and both sorts are stable, so the plan is the
+same bit for bit, and the (N, m) array of the points is never needed.
 """
 
 from __future__ import annotations
@@ -47,6 +53,21 @@ def quantize(values) -> np.ndarray:
     return out + 0.0  # fold -0.0 into +0.0
 
 
+def integer_keyed(points) -> bool:
+    """True when every coordinate is an integer of absolute value below 10**12, and so its own key."""
+    x = np.asarray(points, dtype=float)
+    return bool(np.all(np.abs(x) < 10.0**SIGNIFICANT_DIGITS) and np.all(x == np.trunc(x)))
+
+
+def _fresh(sorted_keys: np.ndarray) -> np.ndarray:
+    """True at each position of sorted (N,) or (N, m) keys where a new key starts."""
+    fresh = np.ones(sorted_keys.shape[0], dtype=bool)
+    if sorted_keys.shape[0] > 1:
+        change = sorted_keys[1:] != sorted_keys[:-1]
+        fresh[1:] = change if change.ndim == 1 else np.any(change, axis=1)
+    return fresh
+
+
 def _key_groups(points):
     """Sort rows by their quantized keys; the one test of support-point identity.
 
@@ -55,11 +76,7 @@ def _key_groups(points):
     """
     keys = quantize(points)
     order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    fresh = np.ones(keys.shape[0], dtype=bool)
-    if keys.shape[0] > 1:
-        fresh[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    return order, fresh
+    return order, _fresh(keys[order])
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -71,7 +88,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class MergePlan:
     """How a list of points merges into a canonical support, kept to merge new weights.
 
-    ``MergePlan.build(points)`` sorts (N, m) points once by ``_key_groups``:
+    ``MergePlan.build(points)`` sorts (N, m) points once by ``_key_groups``
+    (``from_cells`` gives the same plan from integer cells):
     ``points`` is the canonical support (the first point of each key group,
     in key order), ``order`` the sort of the input and ``starts`` where each
     group begins in it (int32 below 2**31 input points). ``merge(weights)``
@@ -98,10 +116,25 @@ class MergePlan:
             raise ValueError("a measure needs at least one support point")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points and weights must be finite")
-        order, fresh = _key_groups(pts)
+        return cls._grouped(*_key_groups(pts), lambda rows: pts[rows])
+
+    @classmethod
+    def from_cells(cls, cells: np.ndarray, points_at) -> "MergePlan":
+        """Plan of N integer-keyed points given by their (N,) integer cells, equal to ``build`` of the points.
+
+        ``cells`` must number the distinct points in their key order, as a
+        row-major index of ``integer_keyed`` points does; ``points_at(rows)``
+        gives the points at the given input positions, so only the canonical
+        ones are ever made.
+        """
+        order = np.argsort(cells, kind="stable")
+        return cls._grouped(order, _fresh(cells[order]), points_at)
+
+    @classmethod
+    def _grouped(cls, order, fresh, points_at) -> "MergePlan":
         starts = np.flatnonzero(fresh)
-        index = np.int32 if pts.shape[0] < 2**31 else np.intp
-        canonical = _frozen(np.ascontiguousarray(pts[order[starts]]))
+        index = np.int32 if order.shape[0] < 2**31 else np.intp
+        canonical = _frozen(np.ascontiguousarray(points_at(order[starts])))
         return cls(canonical, _frozen(order.astype(index)), _frozen(starts.astype(index)))
 
     @property

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import weakref
@@ -5,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infogeom.derived as derived
 import infogeom.geometry as geometry
@@ -30,7 +33,7 @@ from infogeom.expfam import (
     mean_statistic,
 )
 from infogeom.invariance import check_A2
-from infogeom.measures import FiniteMeasure, almost_equal, moments, push_forward, quantize, radon_nikodym
+from infogeom.measures import FiniteMeasure, MergePlan, almost_equal, moments, push_forward, quantize, radon_nikodym
 
 
 def test_affine_map_copies_its_arrays():
@@ -105,13 +108,169 @@ def test_nef_distribution_moments_quadrature(quadrature_families):
                 assert np.max(np.abs(cov - sigma / n)) <= 1e-10
 
 
-def test_nef_distribution_support_cap(families):
+def _count_routes(monkeypatch):
+    """Record the input size of each plan built from quantized float keys ("build") or integer cells ("cells")."""
+    calls = {"build": [], "cells": []}
+    build, from_cells = MergePlan.build, MergePlan.from_cells
+
+    def counting_build(points):
+        calls["build"].append(len(points))
+        return build(points)
+
+    def counting_cells(cells, points_at):
+        calls["cells"].append(len(cells))
+        return from_cells(cells, points_at)
+
+    monkeypatch.setattr(MergePlan, "build", counting_build)
+    monkeypatch.setattr(MergePlan, "from_cells", counting_cells)
+    return calls
+
+
+def test_nef_distribution_support_cap(families, monkeypatch):
     with pytest.raises(SupportBlowupError):
         nef_distribution(families["bernoulli"], 0.0, 64, support_cap=10)
     # a Q_64 already built at the default cap must not leak into a smaller cap
     nef_distribution(families["bernoulli"], 0.0, 64)
     with pytest.raises(SupportBlowupError):
         nef_distribution(families["bernoulli"], 0.0, 64, support_cap=10)
+    # categorical Q_1 has 3 points, so Q_2's sum step has 9 pairs that merge to 6 points
+    # (each store builds Q_1 from its 3 points; the 1/2 rescale of Q_2's 6 points takes the quantized route)
+    f = families["categorical"]
+    calls = _count_routes(monkeypatch)
+    with pytest.raises(SupportBlowupError, match=r"^convolution needs 9 point pairs, above the working cap 8$"):
+        nef_distribution(f, f.theta_grid[2], 2, support_cap=2)
+    assert calls == {"build": [3], "cells": []}  # the pair check comes before any work
+    with pytest.raises(SupportBlowupError, match=r"^convolution support has 6 points, above the cap 5$"):
+        nef_distribution(f, f.theta_grid[2], 2, support_cap=5)
+    assert calls == {"build": [3, 3], "cells": [9]}
+    assert nef_distribution(f, f.theta_grid[2], 2, support_cap=6).size == 6
+    assert calls == {"build": [3, 3, 3, 6], "cells": [9, 9]}
+
+
+def _plans_equal(plan, ref):
+    """Bitwise equality of two merge plans, -0.0 told apart from 0.0."""
+    return (
+        plan.points.tobytes() == ref.points.tobytes()
+        and plan.points.shape == ref.points.shape
+        and plan.order.dtype == ref.order.dtype
+        and np.array_equal(plan.order, ref.order)
+        and plan.starts.dtype == ref.starts.dtype
+        and np.array_equal(plan.starts, ref.starts)
+    )
+
+
+def _quantized_plan(a, b):
+    """The plan of the materialized pair sums, by quantized float keys."""
+    return MergePlan.build((a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1]))
+
+
+@pytest.mark.parametrize(
+    "key, ladder",
+    [
+        ("categorical", (1, 2, 4, 8, 16, 32, 64, 128)),
+        ("binomial", (1, 4, 16, 64, 256, 1024)),
+        ("poisson_trunc", (1, 2, 4, 8, 16, 32, 64)),
+        ("bernoulli", (256, 1024)),
+    ],
+)
+def test_lattice_sum_plans_equal_the_quantized_build(key, ladder, monkeypatch):
+    # every sum step of the family's high-n ladder, taken by the integer-cell route
+    f = make_family(key)
+    calls = _count_routes(monkeypatch)
+    for n in ladder:
+        nef_distribution(f, f.theta_grid[1], n)
+    store = derived._store
+    steps = [step for step in store.plans if isinstance(step, tuple)]
+    assert steps and len(calls["cells"]) == len(steps)
+    for a, b in steps:
+        p, q = store.sums[a].points, store.sums[b].points
+        assert derived._sum_cells(p, q) is not None
+        assert _plans_equal(store.plans[(a, b)], _quantized_plan(p, q))
+
+
+_KEY_MAX = 10**12 - 1  # the largest integer that is its own 12-digit key
+
+
+def _centre(lo, hi):
+    """An integer in [lo, hi], often the one nearest 0, so that zeros and the range's ends come up."""
+    return st.integers(lo, hi) | st.just(min(max(0, lo), hi))
+
+
+@st.composite
+def _integer_factors(draw):
+    """Two integer point arrays, with duplicate rows and -0.0, whose pair sums stay within +-_KEY_MAX."""
+    dim = draw(st.integers(1, 3))
+    axes = ([], [])  # (centre, spread) of each coordinate of each factor
+    for _ in range(dim):
+        spread = draw(st.sampled_from([0, 1, 7, 300, 70_000, 2**21, 10**11]))
+        ca = draw(_centre(-(_KEY_MAX - spread), _KEY_MAX - spread))
+        room = _KEY_MAX - 2 * spread
+        cb = draw(_centre(max(-(_KEY_MAX - spread), -room - ca), min(_KEY_MAX - spread, room - ca)))
+        axes[0].append((ca, spread))
+        axes[1].append((cb, spread))
+    arrays = []
+    for factor in axes:
+        rows = draw(st.integers(1, 6))
+        columns = [draw(st.lists(st.integers(c - s, c + s), min_size=rows, max_size=rows)) for c, s in factor]
+        x = np.array(columns, dtype=float).T
+        x = x[draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=rows + 3))]  # repeats rows
+        negative_zero = np.array(draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size))).reshape(x.shape)
+        arrays.append(np.where((x == 0.0) & negative_zero, -0.0, x))
+    return arrays
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_factors())
+def test_integer_cells_give_the_quantized_plan(factors):
+    a, b = factors
+    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
+    assert np.all(np.abs(sums) <= _KEY_MAX)
+    grid = math.prod(int(hi - lo) + 1 for lo, hi in zip(sums.min(axis=0), sums.max(axis=0)))
+    cells = derived._sum_cells(a, b)
+    assert (cells is not None) == (grid < 2**63)
+    if cells is not None:
+        assert cells.dtype == (np.uint16 if grid <= 65_535 else np.uint32 if grid <= 2**32 else np.int64)
+    assert _plans_equal(derived._sum_plan(a, b, derived.SUPPORT_CAP), _quantized_plan(a, b))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[0.0], [0.5]], [[0.0], [1.0]]),  # a coordinate that is not an integer
+        ([[1e12], [0.0]], [[-1.0]]),  # a coordinate of 10^12, although every sum is below it
+        ([[-1e12]], [[0.0], [1.0]]),
+        ([[_KEY_MAX]], [[0.0], [1.0], [2.0]]),  # sums of 10^12 and 10^12 + 1, which share a 12-digit key
+        ([[0.0, 0.0, 0.0], [2.0**21 - 1] * 3], [[0.0, 0.0, 0.0]]),  # a grid of 2^63 cells
+        ([[0.0, 0.0], [2.0**39, 2.0**24]], [[0.0, 0.0], [1.0, 0.0]]),  # (2^39 + 2)(2^24 + 1) cells, past 2^63
+    ],
+)
+def test_sums_off_the_integer_keys_take_the_quantized_route(a, b, monkeypatch):
+    a, b = np.array(a), np.array(b)
+    calls = _count_routes(monkeypatch)
+    plan = derived._sum_plan(a, b, derived.SUPPORT_CAP)
+    assert calls == {"build": [len(a) * len(b)], "cells": []}
+    assert derived._sum_cells(a, b) is None
+    assert _plans_equal(plan, _quantized_plan(a, b))
+
+
+@pytest.mark.parametrize(
+    "top, dtype",
+    [
+        ([65_534.0], np.uint16),
+        ([65_535.0], np.uint32),
+        ([2.0**32 - 1], np.uint32),
+        ([2.0**32], np.int64),
+        ([2.0**21 - 1, 2.0**21 - 1, 2.0**21 - 2], np.int64),  # 2^63 - 2^42 cells, the last one 2^63 - 2^42 - 1
+    ],
+)
+def test_integer_cells_take_the_narrowest_type_and_never_wrap(top, dtype):
+    a = np.array([[0.0] * len(top), top])
+    b = np.array([[0.0] * len(top), [-0.0] * len(top)])
+    cells = derived._sum_cells(a, b)
+    grid = math.prod(int(t) + 1 for t in top)
+    assert cells.dtype == dtype
+    assert int(cells.min()) == 0 and int(cells.max()) == grid - 1
+    assert _plans_equal(derived._sum_plan(a, b, derived.SUPPORT_CAP), _quantized_plan(a, b))
 
 
 def _bitwise_equal(p, q):
