@@ -12,8 +12,8 @@ failing NaN row for every quantity it would have written, so each theta gets
 the same rows whether its checks pass or not. Reals are written with 17
 significant digits so repeated runs with the same configuration and seed are
 byte-identical. Tolerance defaults are those of ``_TOLERANCES``; ``--tol``
-overrides them by key (or all at once by a bare value or ``default=``), and
-an unknown key is a usage error.
+overrides them by key (or all at once by a bare value or ``default=``); an
+unknown key, or a tolerance that is not positive and finite, is a usage error.
 
 Exit codes: 0 every row passed, 1 usage error (or a config file or output
 path that cannot be opened), 2 at least one row has pass=false. The run
@@ -38,7 +38,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -229,8 +228,8 @@ def _parse_tol(text: Optional[str]) -> dict:
             out[key] = float(value)
         except ValueError as exc:
             raise UsageError(f"bad tolerance {item!r}") from exc
-        if out[key] <= 0.0:
-            raise UsageError("tolerances must be positive")
+        if not 0.0 < out[key] < math.inf:
+            raise UsageError(f"bad tolerance {item!r}: tolerances must be positive and finite")
     return out
 
 
@@ -329,23 +328,19 @@ def cmd_invariance(cfg: RunConfig) -> list:
 
 def cmd_clt(cfg: RunConfig) -> list:
     rows = []
+    family = cfg.family
     quantities = [("ks_max", cfg.tolerance("ks")), ("moment_gap", None)]
-    fields = attrgetter("ks_max", "moment_gap")
     for theta in cfg.thetas:
         for n in cfg.n_list:
-            cfg.guarded(
-                rows, theta, n, quantities,
-                lambda: fields(invariance.clt_diagnostics(cfg.family, theta, n, cfg.cap)),
-            )
+            cfg.guarded(rows, theta, n, quantities, lambda: invariance.clt_diagnostics(family, theta, n, cfg.cap))
     return rows
 
 
 def cmd_tensor(cfg: RunConfig) -> list:
     rows = []
-    family, k = cfg.family, cfg.k
+    family, k, cap = cfg.family, cfg.k, cfg.cap
     a = np.ones(family.order)
     scaling = [(f"scaling_residual_k{k}", None), (f"scaling_exponent_k{k}", None)]
-    fields = attrgetter("residual", "measured_exponent")
     for theta in cfg.thetas:
         (value,) = cfg.guarded(
             rows, theta, 1, [(f"amari_chentsov_k{k}", None)],
@@ -357,10 +352,7 @@ def cmd_tensor(cfg: RunConfig) -> list:
                 lambda: [abs(value - tensors.fd_third_derivative(family, theta, a))],
             )
         for n in [n for n in cfg.n_list if n > 1]:
-            cfg.guarded(
-                rows, theta, n, scaling,
-                lambda: fields(tensors.higher_scaling_check(family, theta, a, n, k, cfg.cap)),
-            )
+            cfg.guarded(rows, theta, n, scaling, lambda: tensors.higher_scaling_check(family, theta, a, n, k, cap))
     return rows
 
 
@@ -369,10 +361,9 @@ def cmd_uniqueness(cfg: RunConfig) -> list:
     family, cap = cfg.family, cfg.cap
     tol = cfg.tolerance("uniqueness")
     n1, n2 = cfg.n_list[0], cfg.n_list[1]
-    fisher_h = geometry.fisher_norm_functional()
     candidates = [
-        ("fisher", fisher_h, tol),
-        ("3xfisher", geometry.scaled_norm_functional(fisher_h, 3.0), tol),
+        ("fisher", geometry.FISHER, tol),
+        ("3xfisher", geometry.scaled_norm_functional(geometry.FISHER, 3.0), tol),
         ("l1_perturbed", geometry.l1_perturbed_norm_functional(0.1), None),
     ]
     a = np.ones(family.order)
@@ -388,11 +379,10 @@ def cmd_uniqueness(cfg: RunConfig) -> list:
         ("2.5xfisher", geometry.scaled_metric_field(fisher_field, 2.5), cfg.tolerance("spread")),
         ("sin_perturbed", geometry.sinusoidal_fisher_field(family), None),
     ]
-    recovered = attrgetter("c_hat", "spread")
     for label, metric_field, check_tol in fields:
         cfg.guarded(
             rows, cfg.thetas[0], 1, [(f"recover_c_hat[{label}]", None), (f"recover_spread[{label}]", check_tol)],
-            lambda: recovered(invariance.recover_constant(metric_field, family, cfg.trials, cfg.seed)),
+            lambda: invariance.recover_constant(metric_field, family, cfg.trials, cfg.seed),
         )
     return rows
 

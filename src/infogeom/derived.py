@@ -2,14 +2,11 @@
 
 ``Q_n`` is the distribution of the mean of n IID draws of the statistic; it
 is computed by exact pairwise convolution of ``Q_1`` with quantized support
-merging, followed by a 1/n coordinate scaling. A sum of two integer supports
-(the lattice families) is merged by integer cells instead (``_sum_cells``):
-each factor point gets its row-major index in the grid of the sums, so a
-pair's cell is the sum of its factors' cells and the (pairs, m) array of
-sums is never made. Integers below 10**12 in absolute value are their own
-quantized keys, so the plan is bitwise the one of the quantized route, which
-any other step takes. Product spaces X^n are never materialized here (a
-small index-product helper is provided for n <= 3 cross-checks).
+merging, followed by a 1/n coordinate scaling. ``measures.MergePlan.of_sums``
+plans each sum step; it merges a sum of two integer supports (the lattice
+families) by integer cells, bitwise as the quantized route would. Product
+spaces X^n are never materialized here (a small index-product helper is
+provided for n <= 3 cross-checks).
 Convolution growth is family dependent, so an explicit support cap turns
 blowup into :class:`SupportBlowupError` instead of a silent approximation.
 
@@ -31,7 +28,6 @@ one; measures are immutable, so the function stays observably pure.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
@@ -39,7 +35,7 @@ import numpy as np
 
 from .errors import RankError, SupportBlowupError
 from .expfam import RANK_EPS, ExpFamily, TangentCoord, cov_statistic, density_weights, mean_statistic
-from .measures import FiniteMeasure, MergePlan, SignedFiniteMeasure, TangentPair, integer_keyed, push_forward
+from .measures import FiniteMeasure, MergePlan, SignedFiniteMeasure, TangentPair
 
 SUPPORT_CAP = 2_000_000
 
@@ -78,74 +74,42 @@ class AffineMap:
         return AffineMap(np.eye(dim), np.zeros(dim))
 
 
-def _checked_eigh(matrix, floor: float):
-    """Eigenvectors and the square roots of the eigenvalues; RankError below floor."""
+def _checked_eigh(matrix):
+    """Eigenvectors and the square roots of the eigenvalues; RankError below ``RANK_EPS``."""
     vals, vecs = np.linalg.eigh(np.asarray(matrix, dtype=float))
-    if float(vals.min()) < floor:
+    if float(vals.min()) < RANK_EPS:
         raise RankError("matrix is numerically singular")
-    return np.sqrt(np.clip(vals, floor, None)), vecs
+    return np.sqrt(np.clip(vals, RANK_EPS, None)), vecs
 
 
-def sym_sqrt(matrix, floor: float = RANK_EPS) -> np.ndarray:
-    """Symmetric square root via eigendecomposition; RankError below floor."""
-    roots, vecs = _checked_eigh(matrix, floor)
+def sym_sqrt(matrix) -> np.ndarray:
+    """Symmetric square root via eigendecomposition; RankError below ``RANK_EPS``."""
+    roots, vecs = _checked_eigh(matrix)
     return (vecs * roots) @ vecs.T
 
 
-def sym_inv_sqrt(matrix, floor: float = RANK_EPS) -> np.ndarray:
-    """Symmetric inverse square root; eigenvalues below floor raise RankError."""
-    roots, vecs = _checked_eigh(matrix, floor)
+def sym_inv_sqrt(matrix) -> np.ndarray:
+    """Symmetric inverse square root; eigenvalues below ``RANK_EPS`` raise RankError."""
+    roots, vecs = _checked_eigh(matrix)
     return (vecs / roots) @ vecs.T
 
 
 def _extension_size(n) -> int:
-    """n as an int; ValueError unless it is a positive integer."""
-    n = int(n)
-    if n < 1:
+    """n as an int; ValueError unless it is a positive integer (2.0 is, 2.7 is not)."""
+    size = int(n)
+    if size < 1 or size != n:
         raise ValueError("n must be a positive integer")
-    return n
-
-
-def _sum_cells(a: np.ndarray, b: np.ndarray):
-    """Cells of the pairwise sums a_i + b_j in the row-major grid of their box, flattened over (i, j).
-
-    The cell of a sum is the cell of a_i plus the cell of b_j, so one outer
-    add of two short vectors numbers every pair, in the key order of the
-    sums. uint16 up to 65,535 cells lets numpy's stable argsort run a radix
-    sort. None, for the quantized route, unless every point and every sum is
-    ``integer_keyed`` and the grid fits int64.
-    """
-    lo_a, lo_b = a.min(axis=0), b.min(axis=0)
-    lo, hi = lo_a + lo_b, a.max(axis=0) + b.max(axis=0)
-    if not (integer_keyed(a) and integer_keyed(b) and integer_keyed([lo, hi])):
-        return None
-    extent = [int(e) + 1 for e in hi - lo]
-    cells = math.prod(extent)
-    if cells >= 2**63:
-        return None
-    strides = np.array([math.prod(extent[d + 1:]) for d in range(len(extent))], dtype=np.int64)
-    dtype = np.uint16 if cells <= 65_535 else np.uint32 if cells <= 2**32 else np.int64
-    ca = ((a - lo_a).astype(np.int64) @ strides).astype(dtype)
-    cb = ((b - lo_b).astype(np.int64) @ strides).astype(dtype)
-    return (ca[:, None] + cb[None, :]).reshape(-1)
+    return size
 
 
 def _sum_plan(a: np.ndarray, b: np.ndarray, support_cap: int) -> MergePlan:
-    """Merge plan of the pairwise sums a_i + b_j of two point arrays; SupportBlowupError past the cap.
-
-    Integer points are merged by ``_sum_cells`` without making the sums,
-    others by the quantized keys of the (pairs, m) array of sums.
-    """
+    """Merge plan of the pairwise sums a_i + b_j of two point arrays; SupportBlowupError past the cap."""
     pairs = a.shape[0] * b.shape[0]
     if pairs > 4 * support_cap:
         raise SupportBlowupError(
             f"convolution needs {pairs} point pairs, above the working cap {4 * support_cap}"
         )
-    cells = _sum_cells(a, b)
-    if cells is None:
-        plan = MergePlan.build((a[:, None, :] + b[None, :, :]).reshape(pairs, a.shape[1]))
-    else:
-        plan = MergePlan.from_cells(cells, lambda rows: a[rows // b.shape[0]] + b[rows % b.shape[0]])
+    plan = MergePlan.of_sums(a, b)
     support = plan.points.shape[0]
     if support > support_cap:
         raise SupportBlowupError(f"convolution support has {support} points, above the cap {support_cap}")
@@ -248,11 +212,6 @@ def standardizing_map(family: ExpFamily, theta, n: int) -> AffineMap:
     tau = mean_statistic(family, theta)
     m = np.sqrt(float(n)) * sym_inv_sqrt(cov_statistic(family, theta))
     return AffineMap(m, -m @ tau)
-
-
-def affine_pushforward_pair(affine: AffineMap, pair: TangentPair) -> TangentPair:
-    """Push both components of a tangent pair through an invertible affine map."""
-    return TangentPair(push_forward(pair.base, affine), push_forward(pair.direction, affine))
 
 
 def iid_fisher(family: ExpFamily, theta, n: int) -> np.ndarray:

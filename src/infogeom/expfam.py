@@ -371,10 +371,6 @@ _REGISTRY = {
 }
 
 
-def family_names() -> tuple:
-    return tuple(_REGISTRY)
-
-
 def make_family(
     name: str,
     params: Optional[Mapping] = None,
@@ -423,7 +419,7 @@ def make_family(
 
 def builtin_families() -> tuple:
     """All registered families with their default parameters."""
-    return tuple(make_family(name) for name in family_names())
+    return tuple(make_family(name) for name in _REGISTRY)
 
 
 def affine_transform_statistic(family: ExpFamily, matrix, offset, name=None) -> ExpFamily:

@@ -2,9 +2,11 @@
 
 A :class:`MetricField` assigns an SPD matrix to each admissible natural
 parameter; a :class:`NormFunctional` acts on pairs (P, f P) where P is a
-finite measure or the analytic Gaussian reference. ``eval`` takes f linear,
-f(y) = c . y, as its coefficient vector c; any other f goes through
-``eval_values`` as its values at the support points of a finite P.
+finite measure. ``eval`` takes f linear, f(y) = c . y, as its coefficient
+vector c; any other f goes through ``eval_values`` as its values at the
+support points of P. ``gauss_fn`` is the closed form of the functional on
+the standard normal with linear f, the limit of the standardized
+push-forwards.
 Candidate functionals other than the Fisher one are first-class values so
 the invariance suite can quantify over them. The invariant form integrates
 the product of two Radon-Nikodym derivatives against their shared base, the
@@ -15,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .expfam import ExpFamily, TangentCoord, cov_statistic, fisher_information, model_tangent, require_shared_base
-from .measures import FiniteMeasure, GaussianReference, TangentPair, radon_nikodym
+from .expfam import ExpFamily, TangentCoord, cov_statistic, model_tangent, require_shared_base
+from .measures import FiniteMeasure, TangentPair, radon_nikodym
 
 METRIC_SYMMETRY_TOL = 1e-12
 
@@ -30,23 +32,19 @@ class NormFunctional:
     """Norm-like functional H(P, f P) on base-measure/function pairs.
 
     ``finite_fn(weights, values)`` evaluates on finite supports;
-    ``gauss_fn(coeff)`` is the closed form on the analytic standard normal
-    with linear f, when the functional has one.
+    ``gauss_fn(coeff)`` is the closed form on the standard normal with
+    linear f(y) = coeff . y.
     """
 
     name: str
     finite_fn: Callable[[np.ndarray, np.ndarray], float]
-    gauss_fn: Optional[Callable[[np.ndarray], float]] = None
+    gauss_fn: Callable[[np.ndarray], float]
 
-    def eval(self, base, coeff) -> float:
+    def eval(self, base: FiniteMeasure, coeff) -> float:
         """Evaluate at f(y) = coeff . y, with ``coeff`` of the dimension of ``base``."""
         c = np.asarray(coeff, dtype=float).reshape(-1)
         if c.shape[0] != base.dim:
             raise ValueError(f"coefficient dimension {c.shape[0]} does not match support dimension {base.dim}")
-        if isinstance(base, GaussianReference):
-            if self.gauss_fn is None:
-                raise TypeError(f"{self.name} has no closed form on the Gaussian reference")
-            return float(self.gauss_fn(c))
         return float(self.finite_fn(base.weights, base.points @ c))
 
     def eval_values(self, base: FiniteMeasure, values) -> float:
@@ -57,13 +55,12 @@ class NormFunctional:
         return float(self.finite_fn(base.weights, v))
 
 
-def fisher_norm_functional() -> NormFunctional:
-    """H(P, f) = sqrt(integral f^2 dP); equals ||c|| on standardized P with f = c . y."""
-    return NormFunctional(
-        name="fisher",
-        finite_fn=lambda w, v: math.sqrt(float(np.sum(w * v * v))),
-        gauss_fn=lambda c: float(np.linalg.norm(c)),
-    )
+# H(P, f) = sqrt(integral f^2 dP); equals ||c|| on standardized P with f = c . y
+FISHER = NormFunctional(
+    name="fisher",
+    finite_fn=lambda w, v: math.sqrt(float(np.sum(w * v * v))),
+    gauss_fn=lambda c: float(np.linalg.norm(c)),
+)
 
 
 def scaled_norm_functional(base: NormFunctional, alpha: float) -> NormFunctional:
@@ -74,7 +71,7 @@ def scaled_norm_functional(base: NormFunctional, alpha: float) -> NormFunctional
     return NormFunctional(
         name=f"{a}*{base.name}",
         finite_fn=lambda w, v: a * base.finite_fn(w, v),
-        gauss_fn=None if base.gauss_fn is None else (lambda c: a * base.gauss_fn(c)),
+        gauss_fn=lambda c: a * base.gauss_fn(c),
     )
 
 
@@ -86,10 +83,9 @@ def l1_perturbed_norm_functional(eps: float = 0.1) -> NormFunctional:
     residual detects.
     """
     e = float(eps)
-    fisher = fisher_norm_functional()
     return NormFunctional(
         name=f"fisher+{e}*L1",
-        finite_fn=lambda w, v: fisher.finite_fn(w, v) + e * float(np.sum(w * np.abs(v))),
+        finite_fn=lambda w, v: FISHER.finite_fn(w, v) + e * float(np.sum(w * np.abs(v))),
         gauss_fn=lambda c: float(np.linalg.norm(c)) * (1.0 + e * math.sqrt(2.0 / math.pi)),
     )
 
@@ -108,11 +104,9 @@ class MetricField:
         return mat
 
 
-def fisher_metric_field(family: ExpFamily, route: str = "A") -> MetricField:
-    return MetricField(
-        name=f"fisher[{family.name},{route}]",
-        matrix_fn=lambda t: fisher_information(family, t, route=route),
-    )
+def fisher_metric_field(family: ExpFamily) -> MetricField:
+    """The Fisher field: the statistic covariance (Fisher route A) at each theta."""
+    return MetricField(name=f"fisher[{family.name}]", matrix_fn=lambda t: cov_statistic(family, t))
 
 
 def scaled_metric_field(field: MetricField, c: float) -> MetricField:
@@ -125,14 +119,11 @@ def scaled_metric_field(field: MetricField, c: float) -> MetricField:
     )
 
 
-def sinusoidal_fisher_field(family: ExpFamily, amplitude: float = 0.2) -> MetricField:
-    """(1 + amplitude sin theta_1) times the Fisher field: smooth, SPD, not invariant."""
-    a = float(amplitude)
-    if not 0.0 < a < 1.0:
-        raise ValueError("amplitude must lie in (0, 1)")
+def sinusoidal_fisher_field(family: ExpFamily) -> MetricField:
+    """(1 + 0.2 sin theta_1) times the Fisher field: smooth, SPD, not invariant."""
     return MetricField(
         name=f"sin-perturbed[{family.name}]",
-        matrix_fn=lambda t: (1.0 + a * math.sin(float(t[0]))) * cov_statistic(family, t),
+        matrix_fn=lambda t: (1.0 + 0.2 * math.sin(float(t[0]))) * cov_statistic(family, t),
     )
 
 

@@ -18,7 +18,6 @@ to a single positive multiple of the Fisher metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,8 +25,8 @@ import numpy as np
 from .derived import (
     SUPPORT_CAP,
     AffineMap,
+    _extension_size,
     _tangent_weights,
-    affine_pushforward_pair,
     iid_fisher,
     nef_distribution,
     nef_tangent,
@@ -37,23 +36,8 @@ from .derived import (
 )
 from .errors import PreconditionError, RankError
 from .expfam import ExpFamily, TangentCoord, cov_statistic, density_weights, mean_statistic, require_shared_base
-from .geometry import (
-    MetricField,
-    NormFunctional,
-    fisher_metric_field,
-    fisher_norm_functional,
-    invariant_form,
-    metric_eval,
-)
-from .measures import (
-    FiniteMeasure,
-    GaussianReference,
-    SignedFiniteMeasure,
-    TangentPair,
-    ndtr,
-    push_forward,
-    radon_nikodym,
-)
+from .geometry import FISHER, MetricField, NormFunctional, fisher_metric_field, invariant_form, metric_eval
+from .measures import FiniteMeasure, SignedFiniteMeasure, TangentPair, ndtr, push_forward, radon_nikodym
 
 FORM_MATCH_TOL = 1e-12
 _PRODUCT_ROWS_CAP = 1_500_000
@@ -87,7 +71,7 @@ def check_A1(family: ExpFamily, u: TangentCoord, v: TangentCoord, n: int) -> flo
     representation on the materialized product space.
     """
     require_shared_base(u, v)
-    n = int(n)
+    n = _extension_size(n)
     lhs = float(u.a @ iid_fisher(family, u.theta, n) @ v.a)
     rhs = float(n * (u.a @ cov_statistic(family, u.theta) @ v.a))
     residual = abs(lhs - rhs)
@@ -106,7 +90,7 @@ def check_A2(family: ExpFamily, u: TangentCoord, v: TangentCoord, n: int, suppor
     expands to n^2 a^T Cov(Q_n) b. B_n is built on the support of u's Q_n.
     """
     require_shared_base(u, v)
-    n = int(n)
+    n = _extension_size(n)
     pair_u = nef_tangent(family, u, n, support_cap)
     tau = mean_statistic(family, u.theta)
     dir_v = SignedFiniteMeasure(pair_u.base.support, _tangent_weights(pair_u.base, tau, v.a, n))
@@ -116,11 +100,7 @@ def check_A2(family: ExpFamily, u: TangentCoord, v: TangentCoord, n: int, suppor
 
 
 def claim1_pipeline(
-    family: ExpFamily,
-    u: TangentCoord,
-    n: int,
-    functional: Optional[NormFunctional] = None,
-    support_cap: int = SUPPORT_CAP,
+    family: ExpFamily, u: TangentCoord, n: int, functional: NormFunctional, support_cap: int = SUPPORT_CAP
 ) -> float:
     """Norm of the standardized push-forward: H(L_* Q_n, f L_* Q_n).
 
@@ -128,7 +108,6 @@ def claim1_pipeline(
     functional satisfying the axioms the value is independent of n; for the
     Fisher functional it equals ||Sigma^{1/2} a|| exactly.
     """
-    functional = functional or fisher_norm_functional()
     qn = nef_distribution(family, u.theta, n, support_cap)
     lmap = standardizing_map(family, u.theta, n)
     standardized = push_forward(qn, lmap)
@@ -137,21 +116,15 @@ def claim1_pipeline(
 
 
 def check_A3_constancy(
-    family: ExpFamily,
-    u: TangentCoord,
-    n_values: Sequence[int],
-    functional: Optional[NormFunctional] = None,
-    support_cap: int = SUPPORT_CAP,
+    family: ExpFamily, u: TangentCoord, n_values: Sequence[int], support_cap: int = SUPPORT_CAP
 ) -> float:
-    """Weak-continuity witness: pipeline values equal the Gaussian closed form.
+    """Weak-continuity witness: Fisher pipeline values equal the Gaussian closed form.
 
     Residual is the largest deviation of H(L_* Q_n, f L_* Q_n) over the given
     n from H(Phi, f Phi); only a finite-n trend, never the limit itself.
     """
-    functional = functional or fisher_norm_functional()
-    coeff = sym_sqrt(cov_statistic(family, u.theta)) @ u.a
-    reference = functional.eval(GaussianReference(family.order), coeff)
-    return max(abs(claim1_pipeline(family, u, n, functional, support_cap) - reference) for n in n_values)
+    reference = FISHER.gauss_fn(sym_sqrt(cov_statistic(family, u.theta)) @ u.a)
+    return max(abs(claim1_pipeline(family, u, n, FISHER, support_cap) - reference) for n in n_values)
 
 
 def _random_affine(rng: np.random.Generator, dim: int) -> AffineMap:
@@ -163,27 +136,22 @@ def _random_affine(rng: np.random.Generator, dim: int) -> AffineMap:
 
 
 def check_A3_affine(
-    family: ExpFamily,
-    u: TangentCoord,
-    n: int = 1,
-    trials: int = 3,
-    seed: int = 42,
-    support_cap: int = SUPPORT_CAP,
+    family: ExpFamily, u: TangentCoord, n: int = 1, seed: int = 42, support_cap: int = SUPPORT_CAP
 ) -> float:
     """Affine invariance of the Fisher functional on tangent pairs.
 
-    Pushes (Q_n, A_n) through random invertible affine maps and compares the
-    transported norms; also folds in one rotation check between matched
-    tangent vectors at different base points.
+    Pushes (Q_n, A_n) through three random invertible affine maps and
+    compares the transported norms; also folds in one rotation check between
+    matched tangent vectors at different base points.
     """
     rng = np.random.default_rng(seed)
-    functional = fisher_norm_functional()
     pair = nef_tangent(family, u, n, support_cap)
-    h0 = functional.eval_values(pair.base, radon_nikodym(pair.direction, pair.base))
+    h0 = FISHER.eval_values(pair.base, radon_nikodym(pair.direction, pair.base))
     residual = 0.0
-    for _ in range(int(trials)):
-        moved = affine_pushforward_pair(_random_affine(rng, family.order), pair)
-        h1 = functional.eval_values(moved.base, radon_nikodym(moved.direction, moved.base))
+    for _ in range(3):
+        lmap = _random_affine(rng, family.order)
+        moved = TangentPair(push_forward(pair.base, lmap), push_forward(pair.direction, lmap))
+        h1 = FISHER.eval_values(moved.base, radon_nikodym(moved.direction, moved.base))
         residual = max(residual, abs(h1 - h0))
     others = [g for g in family.theta_grid if not np.array_equal(g, u.theta)]
     phi = others[-1] if others else u.theta
@@ -235,17 +203,7 @@ def claim2_rotation_check(family: ExpFamily, u: TangentCoord, v: TangentCoord) -
     x = sym_sqrt(cov_statistic(family, u.theta)) @ u.a
     z = sym_sqrt(cov_statistic(family, v.theta)) @ v.a
     rotation = orthogonal_between(x, z)
-    functional = fisher_norm_functional()
-    phi = GaussianReference(family.order)
-    return abs(functional.eval(phi, rotation @ x) - functional.eval(phi, x))
-
-
-@dataclass(frozen=True, eq=False)
-class CltDiagnostics:
-    """Convergence indicators for the standardized push-forward L_* Q_n."""
-
-    moment_gap: float
-    ks_max: float
+    return abs(FISHER.gauss_fn(rotation @ x) - FISHER.gauss_fn(x))
 
 
 def ks_to_standard_normal(marginal) -> float:
@@ -266,12 +224,12 @@ def ks_to_standard_normal(marginal) -> float:
     return float(max(np.max(np.abs(upper - cdf)), np.max(np.abs(lower - cdf))))
 
 
-def clt_diagnostics(family: ExpFamily, theta, n: int, support_cap: int = SUPPORT_CAP) -> CltDiagnostics:
-    """Moment and KS gaps between L_* Q_n and the standard normal.
+def clt_diagnostics(family: ExpFamily, theta, n: int, support_cap: int = SUPPORT_CAP) -> tuple:
+    """KS and moment gaps between L_* Q_n and the standard normal, as (ks_max, moment_gap).
 
+    ``ks_max``: largest per-axis KS distance to the analytic normal CDF.
     ``moment_gap``: worst deviation of standardized marginal third/fourth
-    moments from (0, 3). ``ks_max``: largest per-axis KS distance to the
-    analytic normal CDF.
+    moments from (0, 3).
     """
     qn = nef_distribution(family, theta, n, support_cap)
     lmap = standardizing_map(family, theta, n)
@@ -285,7 +243,7 @@ def clt_diagnostics(family: ExpFamily, theta, n: int, support_cap: int = SUPPORT
         m4 = float(np.sum(wts * col**4))
         moment_gap = max(moment_gap, abs(m3), abs(m4 - 3.0))
         ks_max = max(ks_max, ks_to_standard_normal(FiniteMeasure(col, wts)))
-    return CltDiagnostics(moment_gap=moment_gap, ks_max=ks_max)
+    return ks_max, moment_gap
 
 
 def uniqueness_residual(
@@ -310,26 +268,19 @@ def uniqueness_residual(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class RecoverResult:
-    """Estimated proportionality constant of a metric field to the Fisher field."""
-
-    c_hat: float
-    spread: float
-
-
 def recover_constant(
     field: MetricField,
     family: ExpFamily,
     trials: int = 20,
     seed: int = 42,
-) -> RecoverResult:
-    """Ratio of a candidate metric to the Fisher metric over random tangents.
+) -> tuple:
+    """Ratio of a candidate metric to the Fisher metric over random tangents, as (c_hat, spread).
 
     Samples theta from the family grid and directions from the unit sphere,
     and forms the metric-level ratio g(u, u) / g^F(u, u) (squared norms, so a
-    field equal to c times the Fisher field recovers c_hat = c). ``spread``
-    is max - min of the ratios; zero spread pins the field to one multiple.
+    field equal to c times the Fisher field recovers c_hat = c). ``c_hat`` is
+    their mean and ``spread`` their max - min; zero spread pins the field to
+    one multiple.
     """
     rng = np.random.default_rng(seed)
     fisher = fisher_metric_field(family)
@@ -349,4 +300,4 @@ def recover_constant(
             raise RankError("candidate metric is degenerate along a sampled tangent")
         ratios.append(numerator / denominator)
     ratios = np.asarray(ratios)
-    return RecoverResult(c_hat=float(ratios.mean()), spread=float(ratios.max() - ratios.min()))
+    return float(ratios.mean()), float(ratios.max() - ratios.min())

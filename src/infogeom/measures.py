@@ -1,10 +1,8 @@
 """Weighted point-set measures on R^m.
 
 Every measure in the package is a finite support set with weights: signed
-measures (:class:`SignedFiniteMeasure`), their non-negative subclass for
-probability and general measures (:class:`FiniteMeasure`), and the analytic
-standard normal reference (:class:`GaussianReference`) which is never
-discretized.
+measures (:class:`SignedFiniteMeasure`) and their non-negative subclass for
+probability and general measures (:class:`FiniteMeasure`).
 Continuous inputs enter the system already discretized by the family
 constructors, so every integral below is a finite sum and push-forward /
 Radon-Nikodym manipulations are exact up to float rounding.
@@ -16,10 +14,11 @@ supports (Bernoulli, binomial, ...) therefore merge exactly under sums and
 affine maps, while quadrature nodes keep their full stored precision. An
 integer of absolute value below 10**12 is its own 12-digit key, so points
 whose coordinates are all such integers (``integer_keyed``) may instead be
-grouped by an integer cell index that numbers them in key order
-(``MergePlan.from_cells``): the cells split them into the same groups, in
-the same order, as the keys, and both sorts are stable, so the plan is the
-same bit for bit, and the (N, m) array of the points is never needed.
+grouped by an integer cell index that numbers them in key order: the cells
+split them into the same groups, in the same order, as the keys, and both
+sorts are stable, so the plan is the same bit for bit. ``MergePlan.of_sums``
+plans the pairwise sums of two point arrays this way when it can, so the
+(pairs, m) array of the sums is never made.
 """
 
 from __future__ import annotations
@@ -68,6 +67,30 @@ def _fresh(sorted_keys: np.ndarray) -> np.ndarray:
     return fresh
 
 
+def _sum_cells(a: np.ndarray, b: np.ndarray):
+    """Cells of the pairwise sums a_i + b_j in the row-major grid of their box, flattened over (i, j).
+
+    The cell of a sum is the cell of a_i plus the cell of b_j, so one outer
+    add of two short vectors numbers every pair, in the key order of the
+    sums. uint16 up to 65,535 cells lets numpy's stable argsort run a radix
+    sort. None, for the quantized route, unless every point and every sum is
+    ``integer_keyed`` and the grid fits int64.
+    """
+    lo_a, lo_b = a.min(axis=0), b.min(axis=0)
+    lo, hi = lo_a + lo_b, a.max(axis=0) + b.max(axis=0)
+    if not (integer_keyed(a) and integer_keyed(b) and integer_keyed([lo, hi])):
+        return None
+    extent = [int(e) + 1 for e in hi - lo]
+    cells = math.prod(extent)
+    if cells >= 2**63:
+        return None
+    strides = np.array([math.prod(extent[d + 1:]) for d in range(len(extent))], dtype=np.int64)
+    dtype = np.uint16 if cells <= 65_535 else np.uint32 if cells <= 2**32 else np.int64
+    ca = ((a - lo_a).astype(np.int64) @ strides).astype(dtype)
+    cb = ((b - lo_b).astype(np.int64) @ strides).astype(dtype)
+    return (ca[:, None] + cb[None, :]).reshape(-1)
+
+
 def _key_groups(points):
     """Sort rows by their quantized keys; the one test of support-point identity.
 
@@ -89,7 +112,7 @@ class MergePlan:
     """How a list of points merges into a canonical support, kept to merge new weights.
 
     ``MergePlan.build(points)`` sorts (N, m) points once by ``_key_groups``
-    (``from_cells`` gives the same plan from integer cells):
+    (``of_sums`` gives the plan of pairwise sums, from integer cells when it can):
     ``points`` is the canonical support (the first point of each key group,
     in key order), ``order`` the sort of the input and ``starts`` where each
     group begins in it (int32 below 2**31 input points). ``merge(weights)``
@@ -116,25 +139,31 @@ class MergePlan:
             raise ValueError("a measure needs at least one support point")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points and weights must be finite")
-        return cls._grouped(*_key_groups(pts), lambda rows: pts[rows])
-
-    @classmethod
-    def from_cells(cls, cells: np.ndarray, points_at) -> "MergePlan":
-        """Plan of N integer-keyed points given by their (N,) integer cells, equal to ``build`` of the points.
-
-        ``cells`` must number the distinct points in their key order, as a
-        row-major index of ``integer_keyed`` points does; ``points_at(rows)``
-        gives the points at the given input positions, so only the canonical
-        ones are ever made.
-        """
-        order = np.argsort(cells, kind="stable")
-        return cls._grouped(order, _fresh(cells[order]), points_at)
-
-    @classmethod
-    def _grouped(cls, order, fresh, points_at) -> "MergePlan":
+        order, fresh = _key_groups(pts)
         starts = np.flatnonzero(fresh)
+        return cls._grouped(order, starts, pts[order[starts]])
+
+    @classmethod
+    def of_sums(cls, a: np.ndarray, b: np.ndarray) -> "MergePlan":
+        """Plan of the pairwise sums a_i + b_j of two (N, m) point arrays, flattened over (i, j).
+
+        Equal to ``build`` of the sums. When ``_sum_cells`` numbers them by
+        integer cells, a stable ``argsort`` of the cells groups them and only
+        the canonical sums are made; otherwise the sums are built and sorted
+        by their quantized keys.
+        """
+        cells = _sum_cells(a, b)
+        if cells is None:
+            return cls.build((a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1]))
+        order = np.argsort(cells, kind="stable")
+        starts = np.flatnonzero(_fresh(cells[order]))
+        first = order[starts]
+        return cls._grouped(order, starts, a[first // b.shape[0]] + b[first % b.shape[0]])
+
+    @classmethod
+    def _grouped(cls, order, starts, canonical) -> "MergePlan":
         index = np.int32 if order.shape[0] < 2**31 else np.intp
-        canonical = _frozen(np.ascontiguousarray(points_at(order[starts])))
+        canonical = _frozen(np.ascontiguousarray(canonical))
         return cls(canonical, _frozen(order.astype(index)), _frozen(starts.astype(index)))
 
     @property
@@ -281,23 +310,6 @@ def ndtr(a):
     for start in range(0, flat.size, _NDTR_BLOCK):
         out[start:start + _NDTR_BLOCK] = _ndtr_block(flat[start:start + _NDTR_BLOCK])
     return out.reshape(a.shape)[()]
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianReference:
-    """Standard normal distribution on R^d, evaluated analytically.
-
-    Mean zero, identity covariance by definition. Used as the weak limit of
-    standardized push-forwards; it is never discretized, all evaluations go
-    through closed forms.
-    """
-
-    dim: int
-
-    def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ValueError("dimension must be a positive integer")
-        object.__setattr__(self, "dim", int(self.dim))
 
 
 @dataclass(frozen=True, eq=False)

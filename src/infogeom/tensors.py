@@ -10,12 +10,11 @@ diagonal integral on derived families with the n^{k/2} law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .derived import SUPPORT_CAP, nef_tangent
+from .derived import SUPPORT_CAP, _extension_size, nef_tangent
 from .errors import DomainError
 from .expfam import ExpFamily, TangentCoord, density_weights, log_partition_shift
 from .measures import centered, radon_nikodym
@@ -36,16 +35,6 @@ def amari_chentsov(family: ExpFamily, theta, dirs: Sequence) -> float:
     return float(np.sum(dw * prod))
 
 
-@dataclass(frozen=True, eq=False)
-class ScalingCheck:
-    """Scaling probe of the order-k derived-family tensor against n^{k/2}."""
-
-    lhs: float
-    rhs: float
-    residual: float
-    measured_exponent: float
-
-
 def higher_scaling_check(
     family: ExpFamily,
     theta,
@@ -53,19 +42,21 @@ def higher_scaling_check(
     n: int,
     order: int,
     support_cap: int = SUPPORT_CAP,
-) -> ScalingCheck:
-    """Compare the order-k diagonal integral on Q_n with n^{k/2} times Q_1's.
+) -> tuple:
+    """Compare the order-k diagonal integral on Q_n with n^{k/2} times Q_1's, as (residual, measured_exponent).
 
     Both sides are integral (dA_n/dQ_n)^k dQ_n computed directly on the
-    derived family. The residual vanishes for k = 2 (and for tensors
+    derived family, lhs on Q_n and rhs on Q_1; the residual is
+    |lhs - n^{k/2} rhs|. It vanishes for k = 2 (and for tensors
     proportional to a power of the Fisher form); for the score-product
     tensors at k > 2 the measured exponent log_n(lhs / rhs) is reported
-    instead of asserting the k/2 law.
+    instead of asserting the k/2 law (NaN at n = 1 or where the ratio is
+    not positive).
     """
     k = int(order)
-    n = int(n)
-    if k < 2 or n < 1:
-        raise ValueError("need order >= 2 and n >= 1")
+    n = _extension_size(n)
+    if k < 2:
+        raise ValueError("need order >= 2")
     u = TangentCoord(np.asarray(theta, dtype=float).reshape(-1), a)
 
     def diagonal_integral(m: int) -> float:
@@ -80,14 +71,14 @@ def higher_scaling_check(
         exponent = float(np.log(lhs / rhs) / np.log(n))
     else:
         exponent = float("nan")
-    return ScalingCheck(lhs=lhs, rhs=rhs, residual=residual, measured_exponent=exponent)
+    return residual, exponent
 
 
-def fd_third_derivative(family: ExpFamily, theta, a, step: float = FD3_STEP) -> float:
-    """Directional third derivative of the log-partition by central differences."""
+def fd_third_derivative(family: ExpFamily, theta, a) -> float:
+    """Directional third derivative of the log-partition by central differences of step ``FD3_STEP``."""
     t = np.asarray(theta, dtype=float).reshape(-1)
     a = np.asarray(a, dtype=float).reshape(-1)
-    h = float(step)
+    h = FD3_STEP
     margin = 2.0 * h * float(np.max(np.abs(a), initial=0.0))
     if not family.theta_domain.contains(t, margin=margin):
         raise DomainError("third-derivative stencil leaves the domain")

@@ -17,8 +17,8 @@ from scipy.special import ndtr
 
 from infogeom.expfam import TangentCoord, cov_statistic, fisher_information
 from infogeom.geometry import (
+    FISHER,
     fisher_metric_field,
-    fisher_norm_functional,
     invariant_form_value,
     l1_perturbed_norm_functional,
     scaled_metric_field,
@@ -104,7 +104,7 @@ def test_criterion_4_claim1_constancy(families, discrete_families, quadrature_fa
         for theta in f.theta_grid:
             u = TangentCoord(theta, a)
             reference = float(np.linalg.norm(np.linalg.cholesky(cov_statistic(f, theta)).T @ a))
-            values = [claim1_pipeline(f, u, n) for n in n_values]
+            values = [claim1_pipeline(f, u, n, FISHER) for n in n_values]
             worst_range = max(worst_range, max(values) - min(values))
             worst_value = max(worst_value, max(abs(v - reference) for v in values))
     elapsed = time.perf_counter() - start
@@ -114,7 +114,7 @@ def test_criterion_4_claim1_constancy(families, discrete_families, quadrature_fa
 
 def test_criterion_5_clt_diagnostics(families, discrete_families):
     start = time.perf_counter()
-    diag = clt_diagnostics(families["bernoulli"], 0.0, 100)
+    ks_max, _ = clt_diagnostics(families["bernoulli"], 0.0, 100)
 
     pmf = [Fraction(math.comb(100, k), 2**100) for k in range(101)]
     cum, running = [], Fraction(0)
@@ -129,11 +129,11 @@ def test_criterion_5_clt_diagnostics(families, discrete_families):
     monotone = True
     for f in discrete_families:
         for theta in f.theta_grid:
-            values = [clt_diagnostics(f, theta, n).ks_max for n in (1, 4, 16, 64)]
+            values = [clt_diagnostics(f, theta, n)[0] for n in (1, 4, 16, 64)]
             monotone = monotone and all(values[i + 1] <= values[i] + 1e-12 for i in range(3))
     elapsed = time.perf_counter() - start
-    ok = diag.ks_max < 0.05 and abs(diag.ks_max - ks_oracle) <= 1e-12 and monotone
-    _report(5, "CLT diagnostics", ok, f"(ks@100 {diag.ks_max:.4f}, oracle gap {abs(diag.ks_max - ks_oracle):.1e}, {elapsed:.2f}s)")
+    ok = ks_max < 0.05 and abs(ks_max - ks_oracle) <= 1e-12 and monotone
+    _report(5, "CLT diagnostics", ok, f"(ks@100 {ks_max:.4f}, oracle gap {abs(ks_max - ks_oracle):.1e}, {elapsed:.2f}s)")
 
 
 def test_criterion_6_claim2_rotation(families):
@@ -153,25 +153,25 @@ def test_criterion_6_claim2_rotation(families):
 def test_criterion_7_uniqueness_witness(families):
     f = families["bernoulli"]
     scaled = scaled_metric_field(fisher_metric_field(f), 2.5)
-    result = recover_constant(scaled, f, trials=20, seed=42)
+    c_hat, spread = recover_constant(scaled, f, trials=20, seed=42)
 
     u = TangentCoord([0.0], [1.0])
     perturbed = uniqueness_residual(l1_perturbed_norm_functional(0.1), f, u, 1, 4)
-    fisher_res = uniqueness_residual(fisher_norm_functional(), f, u, 1, 4)
-    wobble = recover_constant(sinusoidal_fisher_field(f), f, trials=20, seed=42)
+    fisher_res = uniqueness_residual(FISHER, f, u, 1, 4)
+    _, wobble = recover_constant(sinusoidal_fisher_field(f), f, trials=20, seed=42)
 
     ok = (
-        abs(result.c_hat - 2.5) <= 1e-10
-        and result.spread <= 1e-10
+        abs(c_hat - 2.5) <= 1e-10
+        and spread <= 1e-10
         and abs(perturbed - 0.0125) <= 1e-12
         and fisher_res <= 1e-10
-        and wobble.spread > 0.05
+        and wobble > 0.05
     )
     _report(
         7,
         "uniqueness witness",
         ok,
-        f"(c_hat {result.c_hat}, spread {result.spread:.1e}, perturbed {perturbed}, wobble {wobble.spread:.3f})",
+        f"(c_hat {c_hat}, spread {spread:.1e}, perturbed {perturbed}, wobble {wobble:.3f})",
     )
 
 

@@ -166,6 +166,19 @@ def test_unknown_tolerance_key_is_usage_error(tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_non_finite_tolerance_is_usage_error(tmp_path, capsys, value):
+    # nan would make rows that can never pass, inf rows that can never fail, 0 rows that pass only at 0
+    config = tmp_path / "run.ini"
+    config.write_text(f"tol = ks={value}\n", encoding="utf-8")
+    for argv in ["--tol", f"ks={value}"], ["--config", str(config)]:
+        code, out, err = _run(capsys, ["clt", "--family", "bernoulli", "--theta", "0", "--n", "1,2", *argv])
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == (
+            f"usage error: bad tolerance 'ks={value}': tolerances must be positive and finite"
+        )
+
+
 @pytest.mark.parametrize("key", sorted(_TOLERANCES))
 def test_every_tolerance_key_sets_some_row(capsys, key):
     # no key of the table is dead: each one, given by --tol, is the tolerance of some command's rows

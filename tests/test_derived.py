@@ -4,6 +4,7 @@ import threading
 import weakref
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 import infogeom.derived as derived
 import infogeom.geometry as geometry
+import infogeom.measures as measures
 from infogeom.derived import (
     AffineMap,
-    affine_pushforward_pair,
     convolve,
     iid_fisher,
     iid_product,
@@ -32,8 +33,19 @@ from infogeom.expfam import (
     make_family,
     mean_statistic,
 )
-from infogeom.invariance import check_A2
-from infogeom.measures import FiniteMeasure, MergePlan, almost_equal, moments, push_forward, quantize, radon_nikodym
+from infogeom.geometry import invariant_form
+from infogeom.invariance import check_A1, check_A2, clt_diagnostics
+from infogeom.measures import (
+    FiniteMeasure,
+    MergePlan,
+    TangentPair,
+    almost_equal,
+    moments,
+    push_forward,
+    quantize,
+    radon_nikodym,
+)
+from infogeom.tensors import higher_scaling_check
 
 
 def test_affine_map_copies_its_arrays():
@@ -53,6 +65,23 @@ def test_affine_map_basics():
         AffineMap([[0.0]], [0.0])
     ident = AffineMap.identity(2)
     assert np.array_equal(ident.matrix, np.eye(2))
+
+
+@pytest.mark.parametrize("n", [2.7, 0])
+def test_extension_size_must_be_a_positive_integer(families, n):
+    # 2.7 was once truncated to 2, so Q_2 (3 points) stood in for a Q_2.7 that does not exist
+    f = families["bernoulli"]
+    u = TangentCoord([0.0], [1.0])
+    calls = [
+        lambda: nef_distribution(f, 0.0, n),
+        lambda: check_A1(f, u, u, n),
+        lambda: check_A2(f, u, u, n),
+        lambda: higher_scaling_check(f, 0.0, [1.0], n, 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^n must be a positive integer$"):
+            call()
+    assert nef_distribution(f, 0.0, 2.0) is nef_distribution(f, 0.0, 2)
 
 
 def test_nef_base_examples(families):
@@ -111,18 +140,20 @@ def test_nef_distribution_moments_quadrature(quadrature_families):
 def _count_routes(monkeypatch):
     """Record the input size of each plan built from quantized float keys ("build") or integer cells ("cells")."""
     calls = {"build": [], "cells": []}
-    build, from_cells = MergePlan.build, MergePlan.from_cells
+    build, sum_cells = MergePlan.build, measures._sum_cells
 
     def counting_build(points):
         calls["build"].append(len(points))
         return build(points)
 
-    def counting_cells(cells, points_at):
-        calls["cells"].append(len(cells))
-        return from_cells(cells, points_at)
+    def counting_cells(a, b):
+        cells = sum_cells(a, b)
+        if cells is not None:
+            calls["cells"].append(len(cells))
+        return cells
 
     monkeypatch.setattr(MergePlan, "build", counting_build)
-    monkeypatch.setattr(MergePlan, "from_cells", counting_cells)
+    monkeypatch.setattr(measures, "_sum_cells", counting_cells)
     return calls
 
 
@@ -184,7 +215,7 @@ def test_lattice_sum_plans_equal_the_quantized_build(key, ladder, monkeypatch):
     assert steps and len(calls["cells"]) == len(steps)
     for a, b in steps:
         p, q = store.sums[a].points, store.sums[b].points
-        assert derived._sum_cells(p, q) is not None
+        assert measures._sum_cells(p, q) is not None
         assert _plans_equal(store.plans[(a, b)], _quantized_plan(p, q))
 
 
@@ -226,7 +257,7 @@ def test_integer_cells_give_the_quantized_plan(factors):
     sums = (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
     assert np.all(np.abs(sums) <= _KEY_MAX)
     grid = math.prod(int(hi - lo) + 1 for lo, hi in zip(sums.min(axis=0), sums.max(axis=0)))
-    cells = derived._sum_cells(a, b)
+    cells = measures._sum_cells(a, b)
     assert (cells is not None) == (grid < 2**63)
     if cells is not None:
         assert cells.dtype == (np.uint16 if grid <= 65_535 else np.uint32 if grid <= 2**32 else np.int64)
@@ -249,7 +280,7 @@ def test_sums_off_the_integer_keys_take_the_quantized_route(a, b, monkeypatch):
     calls = _count_routes(monkeypatch)
     plan = derived._sum_plan(a, b, derived.SUPPORT_CAP)
     assert calls == {"build": [len(a) * len(b)], "cells": []}
-    assert derived._sum_cells(a, b) is None
+    assert measures._sum_cells(a, b) is None
     assert _plans_equal(plan, _quantized_plan(a, b))
 
 
@@ -266,7 +297,7 @@ def test_sums_off_the_integer_keys_take_the_quantized_route(a, b, monkeypatch):
 def test_integer_cells_take_the_narrowest_type_and_never_wrap(top, dtype):
     a = np.array([[0.0] * len(top), top])
     b = np.array([[0.0] * len(top), [-0.0] * len(top)])
-    cells = derived._sum_cells(a, b)
+    cells = measures._sum_cells(a, b)
     grid = math.prod(int(t) + 1 for t in top)
     assert cells.dtype == dtype
     assert int(cells.min()) == 0 and int(cells.max()) == grid - 1
@@ -492,16 +523,21 @@ def test_standardized_moments_all_families(families):
                 assert np.max(np.abs(cov - np.eye(f.order))) <= 1e-9
 
 
+def _moved(lmap, pair):
+    """Both components of a tangent pair pushed through an affine map, as check_A3_affine moves them."""
+    return TangentPair(push_forward(pair.base, lmap), push_forward(pair.direction, lmap))
+
+
 def test_affine_pushforward_pair_examples(families):
     f = families["bernoulli"]
     pair = nef_tangent(f, TangentCoord([0.0], [1.0]), 1)
 
-    moved = affine_pushforward_pair(AffineMap.identity(1), pair)
+    moved = _moved(AffineMap.identity(1), pair)
     assert almost_equal(moved.base, pair.base)
     assert np.allclose(moved.direction.weights, pair.direction.weights, atol=1e-15)
 
     lmap = AffineMap([[2.0]], [-1.0])
-    moved = affine_pushforward_pair(lmap, pair)
+    moved = _moved(lmap, pair)
     assert moved.base.points.ravel().tolist() == [-1.0, 1.0]
     assert moved.base.weights.tolist() == [0.5, 0.5]
     assert np.allclose(moved.direction.weights, [-0.25, 0.25], atol=1e-15)
@@ -513,7 +549,7 @@ def test_pushforward_pair_transports_score(families):
     pair = nef_tangent(f, TangentCoord([0.0], [1.0]), 1)
     before = radon_nikodym(pair.direction, pair.base)
     lmap = AffineMap([[2.0]], [0.0])
-    moved = affine_pushforward_pair(lmap, pair)
+    moved = _moved(lmap, pair)
     after = radon_nikodym(moved.direction, moved.base)
     inv = lmap.inverse()
     for y, value in zip(moved.base.points, after):
@@ -531,7 +567,7 @@ def test_commutation_identity(families):
         for n in (1, 2, 4):
             pair = nef_tangent(f, TangentCoord(theta, a), n)
             lmap = standardizing_map(f, theta, n)
-            moved = affine_pushforward_pair(lmap, pair)
+            moved = _moved(lmap, pair)
             coeff = sym_sqrt(cov_statistic(f, theta)) @ a
             expected = np.sqrt(n) * (moved.base.points @ coeff) * moved.base.weights
             assert np.max(np.abs(moved.direction.weights - expected)) <= 1e-10
@@ -594,6 +630,10 @@ def test_product_measure_mass(families):
     assert prod.total_mass == pytest.approx(p.total_mass**3, abs=1e-14)
 
 
+def _mpf(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
 @pytest.mark.parametrize("key, m", [("bernoulli", 1), ("binomial", 4)])
 @pytest.mark.parametrize("theta", [0.0, 0.75, -1.5])
 def test_nef_distribution_matches_exact_convolution(families, key, m, theta):
@@ -605,6 +645,10 @@ def test_nef_distribution_matches_exact_convolution(families, key, m, theta):
     ratios = [Fraction(float(w)) for w in q1.weights]
     e = max(r.denominator for r in ratios)
     base = [int(r * e) for r in ratios]
+    # first and second central moments of the exact Q_1, unnormalized as the code takes them (its mass is 1 +- 3e-16)
+    tau = sum(k * r for k, r in enumerate(ratios))
+    var1 = sum((k - tau) ** 2 * r for k, r in enumerate(ratios))
+    u, v = TangentCoord([theta], [1.0]), TangentCoord([theta], [1.5])  # the directions of the CLI's A2 rows
     counts = [1]  # the weights of Q_n are counts / e^n
     for n in range(1, 101):
         counts = [
@@ -618,3 +662,21 @@ def test_nef_distribution_matches_exact_convolution(families, key, m, theta):
         exact = [Fraction(c, e**n) for c in counts]
         worst = max(abs(Fraction(float(w)) - x) / x for w, x in zip(qn.weights, exact))
         assert worst <= Fraction(1, 10**14), float(worst)
+
+        # A2's left side, the invariant form of (Q_n, A_n) and (Q_n, B_n), is n^2 a Cov(Q_n) b exactly
+        points = [Fraction(k, n) for k in range(m * n + 1)]
+        cov = sum(w * (y - tau) ** 2 for w, y in zip(exact, points))
+        form = n * n * Fraction(3, 2) * cov
+        lhs = invariant_form(nef_tangent(family, u, n), nef_tangent(family, v, n))
+        assert abs(Fraction(lhs) - form) / form <= Fraction(1, 10**14), float(abs(Fraction(lhs) - form) / form)
+
+        # ks_max: the exact step CDF of L_* Q_n against the normal CDF at 50 digits
+        with mpmath.workdps(50):
+            scale = mpmath.sqrt(n / _mpf(var1))
+            upper, ks = Fraction(0), mpmath.mpf(0)
+            for y, w in zip(points, exact):
+                upper += w
+                phi = mpmath.ncdf(scale * _mpf(y - tau))
+                ks = max(ks, abs(_mpf(upper) - phi), abs(_mpf(upper - w) - phi))
+            gap = abs(mpmath.mpf(clt_diagnostics(family, theta, n)[0]) - ks)
+        assert gap <= 1e-14, float(gap)

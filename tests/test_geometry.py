@@ -10,9 +10,9 @@ from infogeom.derived import nef_distribution
 from infogeom.errors import BasePointMismatchError
 from infogeom.expfam import TangentCoord, fisher_information, model_tangent
 from infogeom.geometry import (
+    FISHER,
     MetricField,
     fisher_metric_field,
-    fisher_norm_functional,
     invariant_form,
     invariant_form_value,
     l1_perturbed_norm_functional,
@@ -21,7 +21,7 @@ from infogeom.geometry import (
     scaled_norm_functional,
     sinusoidal_fisher_field,
 )
-from infogeom.measures import FiniteMeasure, GaussianReference, push_forward
+from infogeom.measures import FiniteMeasure, push_forward
 
 
 def test_metric_eval_identity_field():
@@ -54,7 +54,7 @@ def test_metric_fields_spd_on_grid(families):
 
 
 def test_fisher_norm_functional_examples(families):
-    h = fisher_norm_functional()
+    h = FISHER
     std = FiniteMeasure([[-1.0], [1.0]], [0.5, 0.5])
     assert h.eval(std, [0.5]) == pytest.approx(0.5, abs=1e-14)
     assert h.eval_values(std, np.zeros(std.size)) == 0.0
@@ -66,12 +66,11 @@ def test_fisher_norm_functional_examples(families):
 
 
 def test_norm_functional_on_gaussian_reference():
-    h = fisher_norm_functional()
-    assert h.eval(GaussianReference(2), [3.0, 4.0]) == pytest.approx(5.0, abs=1e-14)
+    assert FISHER.gauss_fn(np.array([3.0, 4.0])) == pytest.approx(5.0, abs=1e-14)
 
 
 def test_norm_functional_standardized_linear_is_coefficient_norm(families):
-    h = fisher_norm_functional()
+    h = FISHER
     rng = np.random.default_rng(7)
     for f in families.values():
         theta = f.theta_grid[2]
@@ -82,7 +81,7 @@ def test_norm_functional_standardized_linear_is_coefficient_norm(families):
 
 
 def test_norm_functional_affine_invariance(families):
-    h = fisher_norm_functional()
+    h = FISHER
     rng = np.random.default_rng(11)
     f = families["categorical"]
     std = nef_distribution(f, [0.25, -0.4], 2)
@@ -105,7 +104,7 @@ def test_norm_functional_affine_invariance(families):
 )
 def test_norm_functionals_absolutely_homogeneous(alpha, coeff):
     p = FiniteMeasure([[-1.0], [0.5], [2.0]], [0.25, 0.5, 0.25])
-    for h in (fisher_norm_functional(), l1_perturbed_norm_functional(0.1), scaled_norm_functional(fisher_norm_functional(), 3.0)):
+    for h in (FISHER, l1_perturbed_norm_functional(0.1), scaled_norm_functional(FISHER, 3.0)):
         base = h.eval(p, [coeff])
         scaled = h.eval(p, [alpha * coeff])
         assert abs(scaled - abs(alpha) * base) <= 1e-12
@@ -149,7 +148,7 @@ def test_scaled_and_sinusoidal_fields(families):
     base = fisher_metric_field(f)
     u = TangentCoord([0.0], [1.0])
     assert metric_eval(scaled_metric_field(base, 2.5), u, u) == pytest.approx(0.625, abs=1e-14)
-    wobble = sinusoidal_fisher_field(f, 0.2)
+    wobble = sinusoidal_fisher_field(f)
     assert wobble.matrix([0.0])[0, 0] == pytest.approx(0.25, abs=1e-14)
     expected = (1.0 + 0.2 * math.sin(1.0)) * fisher_information(f, [1.0], "A")[0, 0]
     assert wobble.matrix([1.0])[0, 0] == pytest.approx(expected, abs=1e-14)
@@ -163,8 +162,7 @@ def test_norm_of_tangent(families):
 
 def test_eval_takes_linear_coefficients():
     p = FiniteMeasure([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])
-    h = fisher_norm_functional()
+    h = FISHER
     assert h.eval(p, [1.0, 0.0]) == h.eval_values(p, [1.0, 3.0]) == math.sqrt(5.0)
-    for base in (p, GaussianReference(2)):
-        with pytest.raises(ValueError):
-            h.eval(base, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        h.eval(p, [1.0, 2.0, 3.0])
