@@ -59,11 +59,8 @@ class AffineMap:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", c)
 
-    def apply(self, y):
-        arr = np.asarray(y, dtype=float)
-        return arr @ self.matrix.T + self.offset
-
-    __call__ = apply
+    def __call__(self, y):
+        return np.asarray(y, dtype=float) @ self.matrix.T + self.offset
 
     def inverse(self) -> "AffineMap":
         inv = np.linalg.inv(self.matrix)

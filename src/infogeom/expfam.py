@@ -312,7 +312,7 @@ def model_tangent(family: ExpFamily, u: TangentCoord) -> TangentPair:
     dw = density_weights(family, u.theta)
     slope = centered(dw, family.stat_values)[1] @ u.a
     base = FiniteMeasure(family.base.points, dw)
-    direction = SignedFiniteMeasure(family.base.points, dw * slope)
+    direction = SignedFiniteMeasure(base.support, dw * slope)
     return TangentPair(base, direction)
 
 
@@ -326,8 +326,10 @@ def _bernoulli():
 
 
 def _binomial(m):
+    # one coefficient at a time, so the first past the float range raises before any more are built
+    weights = np.array([float(math.comb(m, k)) for k in range(m + 1)])
     xs = np.arange(m + 1, dtype=float).reshape(-1, 1)
-    return xs, np.array([math.comb(m, k) for k in range(m + 1)], dtype=float), xs
+    return xs, weights, xs
 
 
 def _categorical(k):
@@ -336,14 +338,17 @@ def _categorical(k):
 
 
 def _poisson_trunc(N):
+    weights = np.array([1.0 / math.factorial(k) for k in range(N + 1)])  # 171! overflows before any point is made
     xs = np.arange(N + 1, dtype=float).reshape(-1, 1)
-    return xs, np.array([1.0 / math.factorial(k) for k in range(N + 1)]), xs
+    return xs, weights, xs
 
 
 def _gauss_known_var(nodes):
     # Gauss-Hermite discretization of the standard normal base; the family
     # p_theta ~ exp(theta x) dN(0,1) is the unit-variance location family.
-    x, w = np.polynomial.hermite.hermgauss(nodes)
+    # From about 400 nodes hermgauss overflows to NaN weights, which FiniteMeasure rejects.
+    with np.errstate(all="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(nodes)
     pts = (math.sqrt(2.0) * x).reshape(-1, 1)
     return pts, w / math.sqrt(math.pi), pts
 
@@ -378,15 +383,16 @@ def make_family(
     theta_lo=None,
     theta_hi=None,
 ) -> ExpFamily:
-    """Build a registered family; optional box bounds override the default."""
+    """Build a registered family; optional box bounds override the default.
+
+    A definition that floats or the box cannot hold (a base weight or log-partition past the float range, lo >= hi,
+    a box of another dimension than the statistic) raises :class:`BadParamError` naming the family and parameters.
+    """
     if name not in _REGISTRY:
         raise UnknownFamilyError(f"unknown family {name!r}; known: {sorted(_REGISTRY)}")
     build, spec, kind, box_range, grid_range = _REGISTRY[name]
-    box = None
     if (theta_lo is None) != (theta_hi is None):
         raise BadParamError("theta_lo and theta_hi must be given together")
-    if theta_lo is not None:
-        box = ThetaBox(theta_lo, theta_hi)
     params = dict(params or {})
     unknown = set(params) - set(spec)
     if unknown:
@@ -400,21 +406,27 @@ def make_family(
             raise BadParamError(f"parameter {key!r} must be an integer, got {raw!r}") from None
         if ints[key] != float(raw) or ints[key] < lo:
             raise BadParamError(f"parameter {key!r} must be an integer >= {lo}, got {raw!r}")
-    points, weights, stats = build(**ints)
-    grid = None  # a given box gets ExpFamily's default grid
-    if box is None:
-        d = stats.shape[1]
-        stagger = 0.8 ** np.arange(d)
-        box = ThetaBox(box_range[0] * np.ones(d), box_range[1] * np.ones(d))
-        grid = np.linspace(grid_range[0] * stagger, grid_range[1] * stagger, 5)
-    return ExpFamily(
-        name=name + "".join(f"({value})" for value in ints.values()),
-        base=FiniteMeasure(points, weights),
-        stat_values=stats,
-        theta_domain=box,
-        kind=kind,
-        theta_grid=grid,
-    )
+    try:
+        box = None if theta_lo is None else ThetaBox(theta_lo, theta_hi)
+        points, weights, stats = build(**ints)
+        grid = None  # a given box gets ExpFamily's default grid
+        if box is None:
+            d = stats.shape[1]
+            stagger = 0.8 ** np.arange(d)
+            box = ThetaBox(box_range[0] * np.ones(d), box_range[1] * np.ones(d))
+            grid = np.linspace(grid_range[0] * stagger, grid_range[1] * stagger, 5)
+        return ExpFamily(
+            name=name + "".join(f"({value})" for value in ints.values()),
+            base=FiniteMeasure(points, weights),
+            stat_values=stats,
+            theta_domain=box,
+            kind=kind,
+            theta_grid=grid,
+        )
+    except (OverflowError, ValueError) as exc:
+        bounds = [None if b is None else np.ravel(b).tolist() for b in (theta_lo, theta_hi)]
+        given = f"parameters {ints}, theta_lo={bounds[0]}, theta_hi={bounds[1]}"
+        raise BadParamError(f"cannot build family {name!r} with {given}: {exc}") from None
 
 
 def builtin_families() -> tuple:

@@ -1,7 +1,7 @@
 """Metric fields, norm functionals and the invariant form.
 
-A :class:`MetricField` assigns an SPD matrix to each admissible natural
-parameter; a :class:`NormFunctional` acts on pairs (P, f P) where P is a
+A metric field is a function theta -> SPD matrix over the admissible natural
+parameters; a :class:`NormFunctional` acts on pairs (P, f P) where P is a
 finite measure. ``eval`` takes f linear, f(y) = c . y, as its coefficient
 vector c; any other f goes through ``eval_values`` as its values at the
 support points of P. ``gauss_fn`` is the closed form of the functional on
@@ -24,8 +24,6 @@ import numpy as np
 from .expfam import ExpFamily, TangentCoord, cov_statistic, model_tangent, require_shared_base
 from .measures import FiniteMeasure, TangentPair, radon_nikodym
 
-METRIC_SYMMETRY_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class NormFunctional:
@@ -36,7 +34,6 @@ class NormFunctional:
     linear f(y) = coeff . y.
     """
 
-    name: str
     finite_fn: Callable[[np.ndarray, np.ndarray], float]
     gauss_fn: Callable[[np.ndarray], float]
 
@@ -57,7 +54,6 @@ class NormFunctional:
 
 # H(P, f) = sqrt(integral f^2 dP); equals ||c|| on standardized P with f = c . y
 FISHER = NormFunctional(
-    name="fisher",
     finite_fn=lambda w, v: math.sqrt(float(np.sum(w * v * v))),
     gauss_fn=lambda c: float(np.linalg.norm(c)),
 )
@@ -69,7 +65,6 @@ def scaled_norm_functional(base: NormFunctional, alpha: float) -> NormFunctional
     if a <= 0.0:
         raise ValueError("scale must be positive")
     return NormFunctional(
-        name=f"{a}*{base.name}",
         finite_fn=lambda w, v: a * base.finite_fn(w, v),
         gauss_fn=lambda c: a * base.gauss_fn(c),
     )
@@ -84,53 +79,32 @@ def l1_perturbed_norm_functional(eps: float = 0.1) -> NormFunctional:
     """
     e = float(eps)
     return NormFunctional(
-        name=f"fisher+{e}*L1",
         finite_fn=lambda w, v: FISHER.finite_fn(w, v) + e * float(np.sum(w * np.abs(v))),
         gauss_fn=lambda c: float(np.linalg.norm(c)) * (1.0 + e * math.sqrt(2.0 / math.pi)),
     )
 
 
-@dataclass(frozen=True, eq=False)
-class MetricField:
-    """Matrix field theta -> SPD matrix over a family's parameter domain."""
-
-    name: str
-    matrix_fn: Callable[[np.ndarray], np.ndarray]
-
-    def matrix(self, theta) -> np.ndarray:
-        mat = np.asarray(self.matrix_fn(np.asarray(theta, dtype=float).reshape(-1)), dtype=float)
-        if np.max(np.abs(mat - mat.T)) > METRIC_SYMMETRY_TOL:
-            raise ValueError(f"metric field {self.name} produced a non-symmetric matrix")
-        return mat
-
-
-def fisher_metric_field(family: ExpFamily) -> MetricField:
+def fisher_metric_field(family: ExpFamily) -> Callable:
     """The Fisher field: the statistic covariance (Fisher route A) at each theta."""
-    return MetricField(name=f"fisher[{family.name}]", matrix_fn=lambda t: cov_statistic(family, t))
+    return lambda t: cov_statistic(family, t)
 
 
-def scaled_metric_field(field: MetricField, c: float) -> MetricField:
+def scaled_metric_field(field: Callable, c: float) -> Callable:
     c = float(c)
     if c <= 0.0:
         raise ValueError("scale must be positive")
-    return MetricField(
-        name=f"{c}*{field.name}",
-        matrix_fn=lambda t: c * field.matrix_fn(t),
-    )
+    return lambda t: c * field(t)
 
 
-def sinusoidal_fisher_field(family: ExpFamily) -> MetricField:
+def sinusoidal_fisher_field(family: ExpFamily) -> Callable:
     """(1 + 0.2 sin theta_1) times the Fisher field: smooth, SPD, not invariant."""
-    return MetricField(
-        name=f"sin-perturbed[{family.name}]",
-        matrix_fn=lambda t: (1.0 + 0.2 * math.sin(float(t[0]))) * cov_statistic(family, t),
-    )
+    return lambda t: (1.0 + 0.2 * math.sin(float(t[0]))) * cov_statistic(family, t)
 
 
-def metric_eval(field: MetricField, u: TangentCoord, v: TangentCoord) -> float:
-    """Bilinear value a^T g(theta) b for tangent vectors at the same theta."""
+def metric_eval(field: Callable, u: TangentCoord, v: TangentCoord) -> float:
+    """Bilinear value a^T g(theta) b for tangent vectors at the same theta, with g = field."""
     require_shared_base(u, v)
-    return float(u.a @ field.matrix(u.theta) @ v.a)
+    return float(u.a @ field(u.theta) @ v.a)
 
 
 def invariant_form(pair_u: TangentPair, pair_v: TangentPair) -> float:

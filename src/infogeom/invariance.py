@@ -18,7 +18,7 @@ to a single positive multiple of the Fisher metric.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .derived import (
 )
 from .errors import PreconditionError, RankError
 from .expfam import ExpFamily, TangentCoord, cov_statistic, density_weights, mean_statistic, require_shared_base
-from .geometry import FISHER, MetricField, NormFunctional, fisher_metric_field, invariant_form, metric_eval
+from .geometry import FISHER, NormFunctional, fisher_metric_field, invariant_form, metric_eval
 from .measures import FiniteMeasure, SignedFiniteMeasure, TangentPair, ndtr, push_forward, radon_nikodym
 
 FORM_MATCH_TOL = 1e-12
@@ -233,7 +233,7 @@ def clt_diagnostics(family: ExpFamily, theta, n: int, support_cap: int = SUPPORT
     """
     qn = nef_distribution(family, theta, n, support_cap)
     lmap = standardizing_map(family, theta, n)
-    pts = lmap.apply(qn.points)
+    pts = lmap(qn.points)
     wts = qn.weights
     moment_gap = 0.0
     ks_max = 0.0
@@ -269,12 +269,12 @@ def uniqueness_residual(
 
 
 def recover_constant(
-    field: MetricField,
+    field: Callable,
     family: ExpFamily,
     trials: int = 20,
     seed: int = 42,
 ) -> tuple:
-    """Ratio of a candidate metric to the Fisher metric over random tangents, as (c_hat, spread).
+    """Ratio of a metric field (theta -> matrix) to the Fisher field over random tangents, as (c_hat, spread).
 
     Samples theta from the family grid and directions from the unit sphere,
     and forms the metric-level ratio g(u, u) / g^F(u, u) (squared norms, so a

@@ -92,7 +92,7 @@ def _sum_cells(a: np.ndarray, b: np.ndarray):
 
 
 def _key_groups(points):
-    """Sort rows by their quantized keys; the one test of support-point identity.
+    """Sort rows by their quantized keys, by which canonicalization tells support points apart.
 
     Returns ``order``, the lexicographic order of the (N, m) rows by key, and
     ``fresh``, true at each position of that order where a new key starts.
@@ -316,9 +316,10 @@ def ndtr(a):
 class TangentPair:
     """Statistical tangent vector: base distribution plus a signed direction.
 
-    ``direction`` must be supported inside ``base`` and have total mass zero
-    (within ``TANGENT_MASS_TOL``); its density with respect to ``base`` is
-    the directional score.
+    ``direction`` must be given on the support of ``base`` (the same points;
+    build it on ``base.support``, with zero weights where it has no mass) and
+    have total mass zero (within ``TANGENT_MASS_TOL``); its density with
+    respect to ``base`` is the directional score.
     """
 
     base: FiniteMeasure
@@ -329,8 +330,7 @@ class TangentPair:
         if abs(s) > TANGENT_MASS_TOL:
             raise ValueError(f"direction weights must sum to 0, got {s!r}")
         if not np.array_equal(self.direction.points, self.base.points):
-            if np.any(support_index(self.base, self.direction.points) < 0):
-                raise ValueError("direction support must lie inside base support")
+            raise ValueError("direction must be given on the base support")
 
 
 def push_forward(measure, point_map):
@@ -367,41 +367,16 @@ def weighted_cov(weights, c) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def support_index(base, points) -> np.ndarray:
-    """Row of ``base`` holding each of ``points`` (same quantized key), or -1.
-
-    ``base`` is a measure, so its keys are distinct. Points of another
-    dimension than ``base`` are outside its support.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != base.dim:
-        return np.full(pts.shape[0], -1)
-    order, fresh = _key_groups(np.concatenate([base.points, pts]))
-    group = np.cumsum(fresh) - 1
-    base_row = np.full(group[-1] + 1, -1)
-    in_base = order < base.size
-    base_row[group[in_base]] = order[in_base]
-    rows = np.empty(order.shape[0], dtype=int)
-    rows[order] = base_row[group]
-    return rows[base.size :]
-
-
 def radon_nikodym(direction, base: FiniteMeasure) -> np.ndarray:
     """Density dA/dP of a signed measure A with respect to P, per point of P.
 
-    Returns values aligned with ``base.points`` (0 where A carries no mass).
-    Raises :class:`AbsoluteContinuityError` if A has mass at a point where P
-    has none.
+    A must be given on the support of P (the same points, zero weights where
+    A has no mass). Raises :class:`AbsoluteContinuityError` if it is given on
+    any other support, or has mass at a point where P has weight zero.
     """
-    if np.array_equal(direction.points, base.points):
-        num = np.asarray(direction.weights, dtype=float)
-    else:
-        rows = support_index(base, direction.points)
-        inside = rows >= 0
-        if np.any(direction.weights[~inside] != 0.0):
-            raise AbsoluteContinuityError("signed measure has mass outside the base support")
-        num = np.zeros(base.size)
-        num[rows[inside]] = direction.weights[inside]
+    if not np.array_equal(direction.points, base.points):
+        raise AbsoluteContinuityError("signed measure is not given on the base support")
+    num = np.asarray(direction.weights, dtype=float)
     positive = base.weights > 0.0
     if np.any(~positive & (num != 0.0)):
         raise AbsoluteContinuityError("signed measure has mass where the base weight is zero")
@@ -411,7 +386,7 @@ def radon_nikodym(direction, base: FiniteMeasure) -> np.ndarray:
 
 
 def almost_equal(m1, m2, tol: float = 1e-12) -> bool:
-    """True when two measures share canonical support and weights within tol."""
-    if m1.size != m2.size or not np.array_equal(support_index(m1, m2.points), np.arange(m1.size)):
+    """True when two measures share canonical support (key for key, in order) and weights within tol."""
+    if not np.array_equal(quantize(m1.points), quantize(m2.points)):
         return False
     return bool(np.max(np.abs(m1.weights - m2.weights)) <= tol)

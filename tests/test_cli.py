@@ -128,6 +128,19 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clt", "--family", "binomial", "--params", "m=1030"],
+        ["clt", "--family", "bernoulli", "--theta-lo=3", "--theta-hi=-3"],
+    ],
+)
+def test_family_that_cannot_be_built_is_one_error_line(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot build family '{argv[2]}'")
+
+
 def test_theta_lo_without_theta_hi_exits_1(capsys):
     code, out, err = _run(capsys, ["invariance", "--family", "bernoulli", "--theta-lo", "-3"])
     assert code == 1 and out == ""

@@ -54,7 +54,7 @@ def test_affine_map_copies_its_arrays():
     assert matrix.flags.writeable and offset.flags.writeable
     assert not lmap.matrix.flags.writeable and not lmap.offset.flags.writeable
     matrix[0, 0], offset[1] = 5.0, 3.0
-    assert lmap.apply([1.0, 1.0]).tolist() == [1.0, 1.0]
+    assert lmap([1.0, 1.0]).tolist() == [1.0, 1.0]
 
 
 def test_affine_map_basics():

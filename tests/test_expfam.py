@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -257,6 +258,22 @@ def test_make_family_errors():
         make_family("poisson_trunc", {"N": 50, "extra": 1})
     with pytest.raises(BadParamError):
         make_family("gauss_known_var", {"nodes": 3})
+    # definitions past the float range or with a box the family cannot take; m = 200000 must not
+    # build its 200,001 exact coefficients before the first overflowing one raises
+    for name, params, bounds in [
+        ("binomial", {"m": 1024}, {}),  # sum of C(m, k) = 2^m overflows at the box center
+        ("binomial", {"m": 1030}, {}),  # C(1030, 515) itself overflows
+        ("binomial", {"m": 200000}, {}),
+        ("poisson_trunc", {"N": 171}, {}),
+        ("gauss_known_var", {"nodes": 2000}, {}),  # hermgauss weights overflow to NaN
+        ("bernoulli", {}, {"theta_lo": [3.0], "theta_hi": [-3.0]}),
+        ("categorical", {"k": 3}, {"theta_lo": [-3.0], "theta_hi": [3.0]}),  # a 1-D box for a 2-D statistic
+    ]:
+        message = re.escape(f"cannot build family '{name}' with parameters {params}")
+        with pytest.raises(BadParamError, match=message):
+            make_family(name, params, **bounds)
+    assert make_family("binomial", {"m": 1023}).base.size == 1024
+    assert make_family("poisson_trunc", {"N": 170}).base.size == 171
 
 
 def test_make_family_definitions(families):

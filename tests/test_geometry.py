@@ -11,7 +11,6 @@ from infogeom.errors import BasePointMismatchError
 from infogeom.expfam import TangentCoord, fisher_information, model_tangent
 from infogeom.geometry import (
     FISHER,
-    MetricField,
     fisher_metric_field,
     invariant_form,
     invariant_form_value,
@@ -25,7 +24,9 @@ from infogeom.measures import FiniteMeasure, push_forward
 
 
 def test_metric_eval_identity_field():
-    field = MetricField("eye", lambda t: np.eye(2))
+    def field(theta):
+        return np.eye(2)
+
     u = TangentCoord([0.0, 0.0], [1.0, 0.0])
     assert metric_eval(field, u, u) == 1.0
     zero = TangentCoord([0.0, 0.0], [0.0, 0.0])
@@ -48,7 +49,7 @@ def test_metric_fields_spd_on_grid(families):
     for f in families.values():
         field = fisher_metric_field(f)
         for theta in f.theta_grid:
-            mat = field.matrix(theta)
+            mat = field(theta)
             assert np.max(np.abs(mat - mat.T)) <= 1e-12
             assert np.min(np.linalg.eigvalsh(mat)) > 0.0
 
@@ -149,9 +150,9 @@ def test_scaled_and_sinusoidal_fields(families):
     u = TangentCoord([0.0], [1.0])
     assert metric_eval(scaled_metric_field(base, 2.5), u, u) == pytest.approx(0.625, abs=1e-14)
     wobble = sinusoidal_fisher_field(f)
-    assert wobble.matrix([0.0])[0, 0] == pytest.approx(0.25, abs=1e-14)
+    assert wobble(np.array([0.0]))[0, 0] == pytest.approx(0.25, abs=1e-14)
     expected = (1.0 + 0.2 * math.sin(1.0)) * fisher_information(f, [1.0], "A")[0, 0]
-    assert wobble.matrix([1.0])[0, 0] == pytest.approx(expected, abs=1e-14)
+    assert wobble(np.array([1.0]))[0, 0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_norm_of_tangent(families):

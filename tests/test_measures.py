@@ -17,7 +17,6 @@ from infogeom.measures import (
     push_forward,
     quantize,
     radon_nikodym,
-    support_index,
 )
 
 
@@ -92,46 +91,72 @@ def test_radon_nikodym_outside_support_raises():
         radon_nikodym(a, p)
 
 
+def _assert_rejected(direction, base):
+    """Neither radon_nikodym nor TangentPair takes the direction at the base."""
+    with pytest.raises(AbsoluteContinuityError):
+        radon_nikodym(direction, base)
+    with pytest.raises(ValueError):
+        TangentPair(base, direction)
+
+
+def test_a_direction_is_given_on_the_base_support():
+    p = FiniteMeasure([[0.3], [1.0], [2.5]], [0.25, 0.25, 0.5])
+    on_support = SignedFiniteMeasure(p.support, [0.1, -0.1, 0.0])
+    assert radon_nikodym(on_support, p).tolist() == [0.4, -0.4, 0.0]
+    TangentPair(p, on_support)
+    shifted = np.nextafter(p.points, np.inf)  # one ulp up: the same 12-digit keys, other points
+    assert almost_equal(FiniteMeasure(shifted, p.weights), p)
+    for direction in [
+        SignedFiniteMeasure([[0.3], [1.0]], [0.1, -0.1]),  # strict subset
+        SignedFiniteMeasure([[0.3], [1.0], [2.5], [4.0]], [0.1, -0.1, 0.0, 0.0]),  # superset
+        SignedFiniteMeasure([[0.3, 1.0], [2.5, 0.0]], [0.1, -0.1]),  # another dimension
+        SignedFiniteMeasure(shifted, [0.1, -0.1, 0.0]),  # ulp-shifted copy
+    ]:
+        _assert_rejected(direction, p)
+
+
 def test_radon_nikodym_strict_subset_direction_is_zero_filled():
+    # a direction on part of the support is given on all of it, with zero weights elsewhere
     p = FiniteMeasure([[0.0], [1.0], [2.0], [3.0]], [0.1, 0.2, 0.3, 0.4])
-    a = SignedFiniteMeasure([[3.0], [1.0]], [0.1, -0.1])
+    a = SignedFiniteMeasure(p.support, [0.0, -0.1, 0.0, 0.1])
     assert radon_nikodym(a, p).tolist() == [0.0, -0.1 / 0.2, 0.0, 0.1 / 0.4]
-    TangentPair(p, a)  # a zero-mass direction on part of the support is a tangent
+    TangentPair(p, a)
+    _assert_rejected(SignedFiniteMeasure([[3.0], [1.0]], [0.1, -0.1]), p)
 
 
 def test_support_identity_within_one_quantize_cell():
     p = FiniteMeasure([[0.3], [1.0]], [0.5, 0.5])
-    a = SignedFiniteMeasure([[0.1 + 0.2]], [0.25])  # 0.1+0.2 != 0.3 in floats, same 12-digit key
-    assert not np.array_equal(a.points, p.points[:1])
-    assert support_index(p, a.points).tolist() == [0]
-    assert radon_nikodym(a, p).tolist() == [0.5, 0.0]
+    q = FiniteMeasure([[0.1 + 0.2], [1.0]], [0.5, 0.5])  # 0.1+0.2 != 0.3 in floats, same 12-digit key
+    assert not np.array_equal(q.points, p.points)
+    assert almost_equal(q, p) and almost_equal(p, q)
+    assert radon_nikodym(SignedFiniteMeasure(p.support, [0.25, 0.0]), p).tolist() == [0.5, 0.0]
+    with pytest.raises(AbsoluteContinuityError):  # a tangent is given on the base's own points
+        radon_nikodym(SignedFiniteMeasure([[0.1 + 0.2]], [0.25]), p)
 
 
 def test_support_identity_two_dimensional_keys():
     p = FiniteMeasure([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]], [0.25, 0.25, 0.25, 0.25])
-    a = SignedFiniteMeasure([[1.0, 1.0], [0.0, 1.0]], [0.05, -0.05])
-    assert support_index(p, [[1.0, 1.0], [0.0, 1.0], [1.0, 2.0]]).tolist() == [3, 1, -1]
+    assert p.points.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    a = SignedFiniteMeasure(p.support, [0.0, -0.05, 0.0, 0.05])
     assert radon_nikodym(a, p).tolist() == [0.0, -0.2, 0.0, 0.2]
     TangentPair(p, a)
+    _assert_rejected(SignedFiniteMeasure([[1.0, 1.0], [0.0, 1.0]], [0.05, -0.05]), p)
 
 
 def test_radon_nikodym_outside_base_mass_raises_zero_weight_ignored():
-    p = FiniteMeasure([[0.0], [1.0]], [0.5, 0.5])
+    p = FiniteMeasure([[0.0], [1.0], [2.0]], [0.5, 0.5, 0.0])
     with pytest.raises(AbsoluteContinuityError):
-        radon_nikodym(SignedFiniteMeasure([[1.0], [2.0]], [0.1, 0.1]), p)
-    zero_outside = SignedFiniteMeasure([[1.0], [2.0]], [0.1, 0.0])
-    assert radon_nikodym(zero_outside, p).tolist() == [0.0, 0.2]
+        radon_nikodym(SignedFiniteMeasure(p.support, [0.0, 0.1, 0.1]), p)
+    zero_outside = SignedFiniteMeasure(p.support, [0.0, 0.1, 0.0])
+    assert radon_nikodym(zero_outside, p).tolist() == [0.0, 0.2, 0.0]
+    with pytest.raises(AbsoluteContinuityError):  # zero weight on points outside the base is not given on it
+        radon_nikodym(SignedFiniteMeasure([[1.0], [2.0]], [0.1, 0.0]), FiniteMeasure([[0.0], [1.0]], [0.5, 0.5]))
 
 
 def test_direction_of_another_dimension_is_outside_the_support():
     # (2, 2) rows must not be read as four 1-D points, which all lie in the base
     p = FiniteMeasure([[0.0], [1.0], [2.0], [3.0]], [0.25, 0.25, 0.25, 0.25])
-    a = SignedFiniteMeasure([[0.0, 1.0], [2.0, 3.0]], [-0.1, 0.1])
-    assert support_index(p, a.points).tolist() == [-1, -1]
-    with pytest.raises(AbsoluteContinuityError):
-        radon_nikodym(a, p)
-    with pytest.raises(ValueError):
-        TangentPair(p, a)
+    _assert_rejected(SignedFiniteMeasure([[0.0, 1.0], [2.0, 3.0]], [-0.1, 0.1]), p)
 
 
 def test_negative_weights_rejected():
@@ -312,21 +337,32 @@ def test_radon_nikodym_integrates_to_direction_mass(data):
     assert abs(integral - a.total_mass) <= 1e-12
 
 
-def _support_index_by_dict(base, points):
-    # per-point reference: a dict from quantized key to base row
-    index = {tuple(row): i for i, row in enumerate(quantize(base.points))}
-    return [index.get(tuple(row), -1) for row in quantize(points)]
+def _by_key(measure):
+    # per-point reference: a dict from quantized key to weight
+    return {tuple(row): w for row, w in zip(quantize(measure.points).tolist(), measure.weights.tolist())}
+
+
+def _almost_equal_by_dict(m1, m2, tol=1e-12):
+    k1, k2 = _by_key(m1), _by_key(m2)
+    return k1.keys() == k2.keys() and all(abs(k1[key] - k2[key]) <= tol for key in k1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_support_index_finds_base_rows(data):
-    base = data.draw(finite_measures())
-    rows = np.array(data.draw(st.lists(st.integers(0, base.size - 1), max_size=20)), dtype=int)
-    assert support_index(base, base.points[rows]).tolist() == rows.tolist()
-    others = data.draw(st.lists(st.tuples(*([coords] * base.dim)), max_size=10))
-    queries = np.concatenate([base.points[rows], np.array(others, dtype=float).reshape(-1, base.dim)])
-    assert support_index(base, queries).tolist() == _support_index_by_dict(base, queries)
+def test_almost_equal_matches_supports_by_key(data):
+    m = data.draw(finite_measures())
+    order = np.array(data.draw(st.permutations(range(m.size))))
+    # relative jitter of 1e-14 stays inside each point's 12-digit key cell (zero stays zero)
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=m.size, max_size=m.size)))
+    rebuilt = FiniteMeasure(m.points[order] * (1.0 + 1e-14 * signs[:, None]), m.weights[order])
+    assert almost_equal(m, rebuilt) and _almost_equal_by_dict(m, rebuilt)
+    row = data.draw(st.integers(0, m.size - 1))
+    new = np.array(data.draw(st.tuples(*([coords] * m.dim))), dtype=float)
+    assume(tuple(quantize(new).tolist()) not in _by_key(m))
+    points = m.points.copy()
+    points[row] = new
+    moved = FiniteMeasure(points, m.weights)
+    assert not almost_equal(m, moved) and not _almost_equal_by_dict(m, moved)
 
 
 def test_measures_are_immutable():
@@ -342,3 +378,5 @@ def test_almost_equal_distinguishes_support():
     q = FiniteMeasure([[0.0], [2.0]], [0.5, 0.5])
     assert almost_equal(p, FiniteMeasure(p.points, p.weights))
     assert not almost_equal(p, q)
+    assert not almost_equal(p, FiniteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]))  # another dimension
+    assert not almost_equal(p, FiniteMeasure([[0.0]], [1.0]))

@@ -38,7 +38,6 @@ ALLOWED = {
     "measures.SignedFiniteMeasure.total_mass": "the mass that tests check push-forwards and tangents keep",
     "measures.almost_equal": "support and weight equality of two measures, used by tests",
     "measures.moments": "mean and covariance of a measure, the reference of the moment tests",
-    "measures.support_index": "rows of points in a support: radon_nikodym's strict-subset branch, TangentPair",
 }
 
 
