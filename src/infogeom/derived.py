@@ -15,11 +15,13 @@ blowup into :class:`SupportBlowupError` instead of a silent approximation.
 its weights do, so the store keeps a merge plan (``measures.MergePlan``) per
 build step: each sum ``Q_1^{*a} * Q_1^{*b}`` and each 1/n rescale is sorted
 once, at the first theta, and every other theta only sums its weights
-through the plan. For the most recent theta it keeps every sum ``Q_1^{*m}``
-and every finished ``Q_n``. A request for another family or cap drops the
-store, and one at another theta its sums and means, before anything is
-built (the plans of a quadrature ``Q_3`` take 55 MB with int32 indices, 22
-MB of it point arrays that the measures built on them share). ``Q_1^{*m}``
+through the plan, forming the products of the two factors' weights a
+block at a time (``MergePlan.merge_products``), never a weight per pair.
+For the most recent theta it keeps every sum ``Q_1^{*m}`` and every
+finished ``Q_n``. A request for another family or cap drops the store, and
+one at another theta its sums and means, before anything is built (the
+plans of a quadrature ``Q_3`` take 55 MB with int32 indices, 22 MB of it
+point arrays that the measures built on them share). ``Q_1^{*m}``
 is always composed from the low bits of m up, in the order of a cold
 binary-exponentiation build, and a plan replays the float work of the sort
 it recorded, so a reused or replayed result is bitwise identical to a fresh
@@ -115,7 +117,7 @@ def _sum_plan(a: np.ndarray, b: np.ndarray, support_cap: int) -> MergePlan:
 
 def _convolved(plan: MergePlan, p: FiniteMeasure, q: FiniteMeasure) -> FiniteMeasure:
     """p convolved with q through the merge plan of their point sums."""
-    return FiniteMeasure(plan, np.outer(p.weights, q.weights).reshape(-1))
+    return FiniteMeasure(MergePlan(plan.points, None, None), plan.merge_products(p.weights, q.weights))
 
 
 def convolve(p: FiniteMeasure, q: FiniteMeasure, support_cap: int = SUPPORT_CAP) -> FiniteMeasure:
@@ -192,7 +194,11 @@ def nef_distribution(family: ExpFamily, theta, n: int, support_cap: int = SUPPOR
 
 
 def _tangent_weights(qn: FiniteMeasure, tau: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
-    return n * ((qn.points - tau) @ a) * qn.weights
+    """n (a . (y - tau)) w_y per point y of Q_n, multiplied in place."""
+    weights = (qn.points - tau) @ a
+    weights *= n
+    weights *= qn.weights
+    return weights
 
 
 def nef_tangent(family: ExpFamily, u: TangentCoord, n: int, support_cap: int = SUPPORT_CAP) -> TangentPair:

@@ -346,7 +346,7 @@ def _poisson_trunc(N):
 def _gauss_known_var(nodes):
     # Gauss-Hermite discretization of the standard normal base; the family
     # p_theta ~ exp(theta x) dN(0,1) is the unit-variance location family.
-    # From about 400 nodes hermgauss overflows to NaN weights, which FiniteMeasure rejects.
+    # hermgauss overflows to NaN weights from 372 nodes; the registry's maximum stops short of that.
     with np.errstate(all="ignore"):
         x, w = np.polynomial.hermite.hermgauss(nodes)
     pts = (math.sqrt(2.0) * x).reshape(-1, 1)
@@ -363,16 +363,20 @@ def _exponential_dist(nodes):
     return pts, 0.5 * w * 3.0 / one_minus_t, pts
 
 
-# name: (builder, {param: (default, minimum)}, kind, default box (lo, hi) on every axis,
+# name: (builder, {param: (default, minimum, maximum)}, kind, default box (lo, hi) on every axis,
 #        default grid (lo, hi) on axis 0, scaled by 0.8^i on axis i); builder(**params)
-#        returns the base points, the base weights and the statistic rows
+#        returns the base points, the base weights and the statistic rows. A maximum rejects,
+#        before any allocation, what no command can use: categorical's np.eye(k), whose pair keys
+#        hold k - 1 coordinates each (at k = 64, clt at the default n ran for minutes past 1 GB),
+#        and a quadrature rule's nodes x nodes eigenproblem (hermgauss weights are NaN from 372
+#        nodes). None: the builder stops at its first weight past the float range on its own.
 _REGISTRY = {
     "bernoulli": (_bernoulli, {}, "discrete", (-10.0, 10.0), (-1.5, 1.5)),
-    "binomial": (_binomial, {"m": (4, 1)}, "discrete", (-10.0, 10.0), (-1.5, 1.5)),
-    "categorical": (_categorical, {"k": (3, 2)}, "discrete", (-8.0, 8.0), (-1.5, 1.5)),
-    "poisson_trunc": (_poisson_trunc, {"N": (50, 5)}, "discrete", (-10.0, 2.5), (-1.0, 1.0)),
-    "gauss_known_var": (_gauss_known_var, {"nodes": (201, 11)}, "quadrature", (-4.0, 4.0), (-1.5, 1.5)),
-    "exponential_dist": (_exponential_dist, {"nodes": (201, 11)}, "quadrature", (-6.0, -0.5), (-4.0, -1.0)),
+    "binomial": (_binomial, {"m": (4, 1, None)}, "discrete", (-10.0, 10.0), (-1.5, 1.5)),
+    "categorical": (_categorical, {"k": (3, 2, 32)}, "discrete", (-8.0, 8.0), (-1.5, 1.5)),
+    "poisson_trunc": (_poisson_trunc, {"N": (50, 5, None)}, "discrete", (-10.0, 2.5), (-1.0, 1.0)),
+    "gauss_known_var": (_gauss_known_var, {"nodes": (201, 11, 360)}, "quadrature", (-4.0, 4.0), (-1.5, 1.5)),
+    "exponential_dist": (_exponential_dist, {"nodes": (201, 11, 360)}, "quadrature", (-6.0, -0.5), (-4.0, -1.0)),
 }
 
 
@@ -398,14 +402,18 @@ def make_family(
     if unknown:
         raise BadParamError(f"unknown parameter(s) {sorted(unknown)} for family {name!r}")
     ints = {}
-    for key, (default, lo) in spec.items():
+    for key, (default, lo, hi) in spec.items():
         raw = params.get(key, default)
         try:
             ints[key] = int(raw)
         except (TypeError, ValueError):
             raise BadParamError(f"parameter {key!r} must be an integer, got {raw!r}") from None
-        if ints[key] != float(raw) or ints[key] < lo:
-            raise BadParamError(f"parameter {key!r} must be an integer >= {lo}, got {raw!r}")
+        if ints[key] != float(raw) or ints[key] < lo or (hi is not None and ints[key] > hi):
+            limits = f">= {lo}" if hi is None else f"from {lo} to {hi}"
+            raise BadParamError(
+                f"cannot build family {name!r} with parameters {params}: "
+                f"parameter {key!r} must be an integer {limits}, got {raw!r}"
+            )
     try:
         box = None if theta_lo is None else ThetaBox(theta_lo, theta_hi)
         points, weights, stats = build(**ints)

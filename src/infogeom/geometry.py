@@ -113,9 +113,9 @@ def invariant_form(pair_u: TangentPair, pair_v: TangentPair) -> float:
     P is ``pair_u.base``; ``pair_v`` must sit at the same distribution (its
     direction is differentiated against P).
     """
-    ra = radon_nikodym(pair_u.direction, pair_u.base)
-    rb = radon_nikodym(pair_v.direction, pair_u.base)
-    return float(np.sum(pair_u.base.weights * ra * rb))
+    product = pair_u.base.weights * radon_nikodym(pair_u.direction, pair_u.base)
+    product *= radon_nikodym(pair_v.direction, pair_u.base)
+    return float(np.sum(product))
 
 
 def invariant_form_value(family: ExpFamily, u: TangentCoord, v: TangentCoord) -> float:

@@ -17,8 +17,20 @@ whose coordinates are all such integers (``integer_keyed``) may instead be
 grouped by an integer cell index that numbers them in key order: the cells
 split them into the same groups, in the same order, as the keys, and both
 sorts are stable, so the plan is the same bit for bit. ``MergePlan.of_sums``
-plans the pairwise sums of two point arrays this way when it can, so the
-(pairs, m) array of the sums is never made.
+plans the pairwise sums of two point arrays this way when it can.
+
+Canonicalization works in blocks of ``BLOCK`` points: ``quantize``, the key
+comparisons that find where groups start, the quantized keys of pairwise
+sums (one block of rows of the first factor at a time) and the merges of a
+plan (whole groups gathered and summed together; the weight products of a
+sum step formed per block). Only elementwise work, ``reduceat`` over whole
+groups and ``max`` are split, because each gives the same bits in blocks.
+``np.sum`` and ``cumsum`` keep their whole operand arrays, because their
+rounding depends on the whole array; a matmul keeps its shape, because a
+different shape can round differently. So the (pairs, m) array of the sums
+and a weight per pair are never made: of the arrays as long as the list of
+pairs, only the sort keys exist for a while, and the plan's ``order``
+stays.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from .errors import AbsoluteContinuityError
 
 SIGNIFICANT_DIGITS = 12
 TANGENT_MASS_TOL = 1e-10
+BLOCK = 1 << 16  # points per block of canonicalization's elementwise work, comparisons and merges
 
 
 def quantize(values) -> np.ndarray:
@@ -42,14 +55,23 @@ def quantize(values) -> np.ndarray:
     Rounding is monotone, so canonical sorting agrees with raw ordering.
     """
     x = np.asarray(values, dtype=float)
-    out = x.copy()
-    nz = x != 0.0
-    if np.any(nz):
-        mag = np.floor(np.log10(np.abs(x[nz])))
+    out = np.empty(x.shape)
+    _quantize_into(x.reshape(-1), out.reshape(-1))
+    return out
+
+
+def _quantize_into(x: np.ndarray, out: np.ndarray) -> None:
+    """``quantize`` of the flat array x, written to the flat array out one block at a time."""
+    for start in range(0, x.shape[0], BLOCK):
+        xb, ob = x[start:start + BLOCK], out[start:start + BLOCK]
+        nz = xb != 0.0
+        xn = xb[nz]
+        mag = np.floor(np.log10(np.abs(xn)))
         np.clip(mag, -250.0, 250.0, out=mag)
         scale = np.power(10.0, (SIGNIFICANT_DIGITS - 1) - mag)
-        out[nz] = np.round(x[nz] * scale) / scale
-    return out + 0.0  # fold -0.0 into +0.0
+        ob[...] = xb
+        ob[nz] = np.round(xn * scale) / scale
+        ob += 0.0  # fold -0.0 into +0.0
 
 
 def integer_keyed(points) -> bool:
@@ -58,12 +80,13 @@ def integer_keyed(points) -> bool:
     return bool(np.all(np.abs(x) < 10.0**SIGNIFICANT_DIGITS) and np.all(x == np.trunc(x)))
 
 
-def _fresh(sorted_keys: np.ndarray) -> np.ndarray:
-    """True at each position of sorted (N,) or (N, m) keys where a new key starts."""
-    fresh = np.ones(sorted_keys.shape[0], dtype=bool)
-    if sorted_keys.shape[0] > 1:
-        change = sorted_keys[1:] != sorted_keys[:-1]
-        fresh[1:] = change if change.ndim == 1 else np.any(change, axis=1)
+def _fresh(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """True at each position of ``order`` where a new (N,) or (N, m) key starts, compared one block at a time."""
+    fresh = np.ones(order.shape[0], dtype=bool)
+    for start in range(1, order.shape[0], BLOCK):
+        k = keys[order[start - 1:start + BLOCK]]
+        change = k[1:] != k[:-1]
+        fresh[start:start + BLOCK] = change if change.ndim == 1 else np.any(change, axis=1)
     return fresh
 
 
@@ -91,15 +114,36 @@ def _sum_cells(a: np.ndarray, b: np.ndarray):
     return (ca[:, None] + cb[None, :]).reshape(-1)
 
 
-def _key_groups(points):
-    """Sort rows by their quantized keys, by which canonicalization tells support points apart.
+def _quantized_sum_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quantized keys of the pairwise sums a_i + b_j, flattened over (i, j), made one block of a-rows at a time.
 
-    Returns ``order``, the lexicographic order of the (N, m) rows by key, and
-    ``fresh``, true at each position of that order where a new key starts.
+    Raises the ``ValueError`` of a non-finite point if a sum is not finite.
     """
-    keys = quantize(points)
-    order = np.lexsort(keys.T[::-1])
-    return order, _fresh(keys[order])
+    nb, m = b.shape
+    keys = np.empty((a.shape[0] * nb, m))
+    rows = max(1, BLOCK // nb)
+    for i in range(0, a.shape[0], rows):
+        sums = (a[i:i + rows, None, :] + b[None, :, :]).reshape(-1)
+        if not np.all(np.isfinite(sums)):
+            raise ValueError("points and weights must be finite")
+        _quantize_into(sums, keys[i * nb:(i + rows) * nb].reshape(-1))
+    return keys
+
+
+def _groups(make_keys):
+    """Stable order of the keys ``make_keys()`` gives, and where each run of equal keys starts in it.
+
+    (N,) integer cells take a stable ``argsort``, (N, m) float keys a
+    ``lexsort`` by column. The keys are freed before the order is narrowed to
+    int32 (below 2**31 keys), and the int64 order right after.
+    """
+    keys = make_keys()
+    order = np.argsort(keys, kind="stable") if keys.ndim == 1 else np.lexsort(keys.T[::-1])
+    fresh = _fresh(keys, order)
+    del keys
+    index = np.int32 if order.shape[0] < 2**31 else np.intp
+    order = order.astype(index)
+    return _frozen(order), _frozen(np.flatnonzero(fresh).astype(index))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -111,8 +155,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class MergePlan:
     """How a list of points merges into a canonical support, kept to merge new weights.
 
-    ``MergePlan.build(points)`` sorts (N, m) points once by ``_key_groups``
-    (``of_sums`` gives the plan of pairwise sums, from integer cells when it can):
+    ``MergePlan.build(points)`` sorts (N, m) points once by their quantized
+    keys (``of_sums`` gives the plan of pairwise sums, from integer cells when it can):
     ``points`` is the canonical support (the first point of each key group,
     in key order), ``order`` the sort of the input and ``starts`` where each
     group begins in it (int32 below 2**31 input points). ``merge(weights)``
@@ -139,32 +183,26 @@ class MergePlan:
             raise ValueError("a measure needs at least one support point")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points and weights must be finite")
-        order, fresh = _key_groups(pts)
-        starts = np.flatnonzero(fresh)
-        return cls._grouped(order, starts, pts[order[starts]])
+        order, starts = _groups(lambda: quantize(pts))
+        return cls(_frozen(pts[order[starts]]), order, starts)
 
     @classmethod
     def of_sums(cls, a: np.ndarray, b: np.ndarray) -> "MergePlan":
         """Plan of the pairwise sums a_i + b_j of two (N, m) point arrays, flattened over (i, j).
 
-        Equal to ``build`` of the sums. When ``_sum_cells`` numbers them by
-        integer cells, a stable ``argsort`` of the cells groups them and only
-        the canonical sums are made; otherwise the sums are built and sorted
-        by their quantized keys.
+        Equal to ``build`` of the sums, which are never made: the keys are
+        the integer cells of ``_sum_cells`` when it gives them, else the
+        quantized sums of ``_quantized_sum_keys``, and only the canonical sums
+        are made.
         """
-        cells = _sum_cells(a, b)
-        if cells is None:
-            return cls.build((a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1]))
-        order = np.argsort(cells, kind="stable")
-        starts = np.flatnonzero(_fresh(cells[order]))
-        first = order[starts]
-        return cls._grouped(order, starts, a[first // b.shape[0]] + b[first % b.shape[0]])
 
-    @classmethod
-    def _grouped(cls, order, starts, canonical) -> "MergePlan":
-        index = np.int32 if order.shape[0] < 2**31 else np.intp
-        canonical = _frozen(np.ascontiguousarray(canonical))
-        return cls(canonical, _frozen(order.astype(index)), _frozen(starts.astype(index)))
+        def keys():
+            cells = _sum_cells(a, b)
+            return _quantized_sum_keys(a, b) if cells is None else cells
+
+        order, starts = _groups(keys)
+        first = order[starts]
+        return cls(_frozen(a[first // b.shape[0]] + b[first % b.shape[0]]), order, starts)
 
     @property
     def shape(self) -> tuple:
@@ -175,7 +213,37 @@ class MergePlan:
         """Weights of ``points``: the (N,) input weights summed over each group."""
         if self.order is None:
             return _frozen(np.array(weights, dtype=float))
-        return _frozen(np.add.reduceat(weights[self.order], self.starts))
+        return self._reduce(weights.__getitem__)
+
+    def merge_products(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """``merge`` of the products p_i q_j, flattened over (i, j), for a plan of pairwise sums.
+
+        The same products as ``np.outer(p, q)``, formed a block at a time.
+        """
+
+        def products(at):
+            i = at // q.shape[0]
+            return p[i] * q[at - i * q.shape[0]]  # not at % q.shape[0], a slower integer division
+
+        return self._reduce(products)
+
+    def _reduce(self, values_at) -> np.ndarray:
+        """Sum of each group of the input values, given at input positions by ``values_at``.
+
+        Whole groups are gathered and summed (``reduceat``) a block of about
+        ``BLOCK`` input positions at a time, so each group's sum is the one
+        over all the input at once.
+        """
+        groups, total = self.starts.shape[0], self.order.shape[0]
+        # the first group to start in each run of BLOCK input positions (in starts' own type: no cast copy)
+        cuts = np.searchsorted(self.starts, np.arange(0, total, BLOCK, dtype=self.starts.dtype)).tolist()
+        out = np.empty(groups)
+        for lo, hi in zip(cuts, cuts[1:] + [groups]):
+            if lo < hi:
+                first = int(self.starts[lo])
+                last = int(self.starts[hi]) if hi < groups else total
+                out[lo:hi] = np.add.reduceat(values_at(self.order[first:last]), self.starts[lo:hi] - first)
+        return _frozen(out)
 
 
 def _canonical_support(points, weights):
@@ -378,11 +446,9 @@ def radon_nikodym(direction, base: FiniteMeasure) -> np.ndarray:
         raise AbsoluteContinuityError("signed measure is not given on the base support")
     num = np.asarray(direction.weights, dtype=float)
     positive = base.weights > 0.0
-    if np.any(~positive & (num != 0.0)):
+    if np.any(num[~positive] != 0.0):
         raise AbsoluteContinuityError("signed measure has mass where the base weight is zero")
-    out = np.zeros(base.size)
-    out[positive] = num[positive] / base.weights[positive]
-    return out
+    return np.divide(num, base.weights, out=np.zeros(base.size), where=positive)
 
 
 def almost_equal(m1, m2, tol: float = 1e-12) -> bool:

@@ -15,6 +15,7 @@ import infogeom
 import infogeom.derived as derived
 import infogeom.invariance as invariance
 from infogeom.cli import _OPTIONS, _TOLERANCES, main
+from infogeom.expfam import make_family
 
 
 def _run(capsys, argv):
@@ -139,6 +140,21 @@ def test_family_that_cannot_be_built_is_one_error_line(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot build family '{argv[2]}'")
+
+
+@pytest.mark.parametrize(
+    "family, key, least, limit",
+    [("categorical", "k", 2, 32), ("gauss_known_var", "nodes", 11, 360), ("exponential_dist", "nodes", 11, 360)],
+)
+def test_family_size_past_its_limit_is_one_error_line(capsys, family, key, least, limit):
+    # rejected before the builder allocates anything (categorical k = 100000 would ask for a 74.5 GiB np.eye)
+    assert make_family(family, {key: limit}).base.size == limit
+    code, out, err = _run(capsys, ["clt", "--family", family, "--params", f"{key}={limit + 1}"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: cannot build family '{family}' with parameters {{'{key}': '{limit + 1}'}}: "
+        f"parameter '{key}' must be an integer from {least} to {limit}, got '{limit + 1}'"
+    ]
 
 
 def test_theta_lo_without_theta_hi_exits_1(capsys):

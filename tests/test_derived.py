@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -138,13 +139,21 @@ def test_nef_distribution_moments_quadrature(quadrature_families):
 
 
 def _count_routes(monkeypatch):
-    """Record the input size of each plan built from quantized float keys ("build") or integer cells ("cells")."""
+    """Record the input size of each plan built from quantized float keys ("build") or integer cells ("cells").
+
+    A plan of pairwise sums takes its quantized keys from ``measures._quantized_sum_keys``, not from
+    ``MergePlan.build``, so both count as "build", a sum plan by its number of pairs.
+    """
     calls = {"build": [], "cells": []}
-    build, sum_cells = MergePlan.build, measures._sum_cells
+    build, sum_cells, sum_keys = MergePlan.build, measures._sum_cells, measures._quantized_sum_keys
 
     def counting_build(points):
         calls["build"].append(len(points))
         return build(points)
+
+    def counting_sum_keys(a, b):
+        calls["build"].append(len(a) * len(b))
+        return sum_keys(a, b)
 
     def counting_cells(a, b):
         cells = sum_cells(a, b)
@@ -154,6 +163,7 @@ def _count_routes(monkeypatch):
 
     monkeypatch.setattr(MergePlan, "build", counting_build)
     monkeypatch.setattr(measures, "_sum_cells", counting_cells)
+    monkeypatch.setattr(measures, "_quantized_sum_keys", counting_sum_keys)
     return calls
 
 
@@ -282,6 +292,67 @@ def test_sums_off_the_integer_keys_take_the_quantized_route(a, b, monkeypatch):
     assert calls == {"build": [len(a) * len(b)], "cells": []}
     assert measures._sum_cells(a, b) is None
     assert _plans_equal(plan, _quantized_plan(a, b))
+
+
+def _blocky_factors():
+    """Two point arrays off the integer keys whose pair sums hold long groups, -0.0 and 12-digit ties."""
+    rng = np.random.default_rng(7)
+    lattice = rng.choice([-0.25, -0.0, 0.0, 0.25, 0.5], 30)  # long groups; -0.0 first, so a -0.0 sum leads its group
+    a = np.concatenate([[-0.0], lattice, rng.standard_normal(10)]).reshape(-1, 1)
+    b = np.concatenate([[-0.0, 0.0, 0.25, -0.25, 1.0 + 2.0**-45, 1.0], rng.standard_normal(5)]).reshape(-1, 1)
+    return a, b
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_blocks_change_no_bits(block, dim, monkeypatch):
+    # every result in blocks of `block` points against the one-shot reference (inputs below one default block)
+    a, b = _blocky_factors()
+    if dim == 2:
+        a, b = np.hstack([a, 2.0 * a]), np.hstack([b, -b])
+    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, dim)
+    p = np.linspace(0.5, 2.0, a.shape[0]) / 3.0
+    q = np.linspace(1.0, 0.25, b.shape[0]) / 7.0
+    ref_keys = quantize(sums)
+    ref_plan = _quantized_plan(a, b)
+    assert measures._sum_cells(a, b) is None
+    last = np.append(ref_plan.starts[1:], sums.shape[0]) - 1
+    assert np.any(ref_plan.starts // block < last // block)  # a group straddles a block edge
+    negative_zero = (ref_plan.points == 0.0) & np.signbit(ref_plan.points)
+    assert np.any(negative_zero) and not np.any((ref_keys == 0.0) & np.signbit(ref_keys))  # -0.0 sums, +0.0 keys
+    ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[ref_plan.order], ref_plan.starts)
+
+    monkeypatch.setattr(measures, "BLOCK", block)
+    assert quantize(sums).tobytes() == ref_keys.tobytes()
+    plan = MergePlan.of_sums(a, b)
+    assert _plans_equal(plan, ref_plan) and _plans_equal(_quantized_plan(a, b), ref_plan)
+    assert plan.merge_products(p, q).tobytes() == ref_merge.tobytes()
+    assert plan.merge(np.outer(p, q).reshape(-1)).tobytes() == ref_merge.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 16])
+def test_a_non_finite_sum_raises_in_any_block(block, monkeypatch):
+    monkeypatch.setattr(measures, "BLOCK", block)
+    a = np.array([[0.5], [1.0], [1e308], [2.0]])
+    b = np.array([[0.25], [1e308]])
+    for plan in (lambda: MergePlan.of_sums(a, b), lambda: _quantized_plan(a, b)):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^points and weights must be finite$"):
+            plan()
+
+
+def test_q_n_builds_keep_no_pair_sized_temporaries():
+    # gauss Q_3 sums 4.06M pairs to 1.35M points; a float array per pair (32 MB) would double the peak.
+    # tracemalloc counts numpy's array allocations alike on every machine
+    f = make_family("gauss_known_var")  # a new family object: every plan is built cold
+    tracemalloc.start()
+    try:
+        for theta in f.theta_grid[1], f.theta_grid[3]:  # a cold build, then a replay of its plans
+            tracemalloc.reset_peak()
+            nef_distribution(f, theta, 3)
+            live, peak = tracemalloc.get_traced_memory()
+            assert peak <= 1.5 * live
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize(
