@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``families`` (registry listing), ``fisher`` (metric matrices by
-route), ``invariance`` (axiom residual CSV), ``clt`` (convergence table),
-``tensor`` (higher-order tensor report), ``uniqueness`` (constant recovery
-and candidate-functional residuals).
+route) and the row commands ``invariance`` (A1-A3), ``clt`` (convergence),
+``tensor`` (higher-order tensors) and ``uniqueness`` (constant recovery and
+candidate functionals). A row command is its list of checks in ``_CHECKS``,
+the one place a row kind is declared: each names its scope (the n values it
+runs at), its quantities with their tolerance keys and the call computing them.
 
 Every CSV row carries: family, theta (semicolon-joined), n, quantity, value,
 tolerance, pass. A row with a tolerance passes when value <= tolerance; a row
@@ -74,6 +76,65 @@ _TOLERANCES = {
     "spread": 1e-10,
     "route_ab": 1e-10,
     "route_ac": 1e-6,
+}
+
+# scope -> the n values a check runs at, given the config and the index of the theta
+_SCOPES = {
+    "every n": lambda cfg, i: cfg.n_list,
+    "first n": lambda cfg, i: cfg.n_list[:1],
+    "second n": lambda cfg, i: cfg.n_list[1:2],
+    "last n": lambda cfg, i: cfg.n_list[-1:],
+    "n > 1": lambda cfg, i: [n for n in cfg.n_list if n > 1],
+    "n = 1": lambda cfg, i: [1],
+    "n = 1 if k = 3": lambda cfg, i: [1] if cfg.k == 3 else [],
+    "n = 1, first theta": lambda cfg, i: [1] if i == 0 else [],
+}
+
+# row command -> its checks in the order they run at each theta: (scope, [(quantity, tolerance key or None)],
+# compute(cfg, u, n)), where u is the tangent (theta, 1...1), compute returns one value per quantity and "{k}"
+# in a quantity is the tensor order --k
+_CHECKS = {
+    "invariance": [
+        ("every n", [("A1", "axioms")],
+         lambda cfg, u, n: [invariance.check_A1(cfg.family, u, _second_tangent(u), n)]),
+        ("every n", [("A2", "axioms")],
+         lambda cfg, u, n: [invariance.check_A2(cfg.family, u, _second_tangent(u), n, cfg.cap)]),
+        ("last n", [("A3-constancy", "axioms")],
+         lambda cfg, u, n: [invariance.check_A3_constancy(cfg.family, u, cfg.n_list, support_cap=cfg.cap)]),
+        ("first n", [("A3-affine", "a3_affine")],
+         lambda cfg, u, n: [invariance.check_A3_affine(cfg.family, u, n, seed=cfg.seed, support_cap=cfg.cap)]),
+    ],
+    "clt": [
+        ("every n", [("ks_max", "ks"), ("moment_gap", None)],
+         lambda cfg, u, n: invariance.clt_diagnostics(cfg.family, u.theta, n, cfg.cap)),
+    ],
+    "tensor": [
+        ("n = 1", [("amari_chentsov_k{k}", None)],
+         lambda cfg, u, n: [tensors.amari_chentsov(cfg.family, u.theta, [u.a] * cfg.k)]),
+        ("n = 1 if k = 3", [("fd3_gap", "fd3")],
+         lambda cfg, u, n: [abs(tensors.amari_chentsov(cfg.family, u.theta, [u.a] * 3)
+                                - tensors.fd_third_derivative(cfg.family, u.theta, u.a))]),
+        ("n > 1", [("scaling_residual_k{k}", None), ("scaling_exponent_k{k}", None)],
+         lambda cfg, u, n: tensors.higher_scaling_check(cfg.family, u.theta, u.a, n, cfg.k, cfg.cap)),
+    ],
+    "uniqueness": [
+        ("second n", [("uniqueness_residual[fisher]", "uniqueness")],
+         lambda cfg, u, n: [invariance.uniqueness_residual(geometry.FISHER,
+                                                           cfg.family, u, cfg.n_list[0], n, cfg.cap)]),
+        ("second n", [("uniqueness_residual[3xfisher]", "uniqueness")],
+         lambda cfg, u, n: [invariance.uniqueness_residual(geometry.scaled_norm_functional(geometry.FISHER, 3.0),
+                                                           cfg.family, u, cfg.n_list[0], n, cfg.cap)]),
+        ("second n", [("uniqueness_residual[l1_perturbed]", None)],
+         lambda cfg, u, n: [invariance.uniqueness_residual(geometry.l1_perturbed_norm_functional(0.1),
+                                                           cfg.family, u, cfg.n_list[0], n, cfg.cap)]),
+        ("n = 1, first theta", [("recover_c_hat[2.5xfisher]", None), ("recover_spread[2.5xfisher]", "spread")],
+         lambda cfg, u, n: invariance.recover_constant(
+             geometry.scaled_metric_field(geometry.fisher_metric_field(cfg.family), 2.5),
+             cfg.family, cfg.trials, cfg.seed)),
+        ("n = 1, first theta", [("recover_c_hat[sin_perturbed]", None), ("recover_spread[sin_perturbed]", None)],
+         lambda cfg, u, n: invariance.recover_constant(geometry.sinusoidal_fisher_field(cfg.family),
+                                                       cfg.family, cfg.trials, cfg.seed)),
+    ],
 }
 
 _DEFAULT_N = "1,2,4,8,16"
@@ -203,6 +264,8 @@ def _parse_thetas(text: Optional[str], family: ExpFamily) -> list:
         vec = _parse_vector(chunk)
         if vec.shape[0] != family.order:
             raise UsageError(f"theta {chunk!r} has dimension {vec.shape[0]}, family needs {family.order}")
+        if _theta_str(vec) in {_theta_str(theta) for theta in thetas}:  # compared as the rows write it
+            raise UsageError(f"theta {chunk!r} is given twice")
         thetas.append(vec)
     if not thetas:
         raise UsageError("no theta values given")
@@ -302,105 +365,39 @@ def cmd_fisher(cfg: RunConfig) -> list:
     return rows
 
 
-def cmd_invariance(cfg: RunConfig) -> list:
+def _second_tangent(u: TangentCoord) -> TangentCoord:
+    """The second tangent of the axiom checks: direction (1.5, -0.5, 1.5, ...) at u's theta."""
+    return TangentCoord(u.theta, [1.5 if i % 2 == 0 else -0.5 for i in range(u.a.shape[0])])
+
+
+def run_checks(cfg: RunConfig, checks: list) -> list:
+    """The rows of a command's ``_CHECKS`` entries: at each theta, each entry at each n of its scope."""
     rows = []
-    family, cap = cfg.family, cfg.cap
-    axioms = cfg.tolerance("axioms")
-    a = np.ones(family.order)
-    b = np.array([1.5 if i % 2 == 0 else -0.5 for i in range(family.order)])
-    first, last = cfg.n_list[0], cfg.n_list[-1]
-    for theta in cfg.thetas:
-        u = TangentCoord(theta, a)
-        v = TangentCoord(theta, b)
-        for n in cfg.n_list:
-            cfg.guarded(rows, theta, n, [("A1", axioms)], lambda: [invariance.check_A1(family, u, v, n)])
-            cfg.guarded(rows, theta, n, [("A2", axioms)], lambda: [invariance.check_A2(family, u, v, n, cap)])
-        cfg.guarded(
-            rows, theta, last, [("A3-constancy", axioms)],
-            lambda: [invariance.check_A3_constancy(family, u, cfg.n_list, support_cap=cap)],
-        )
-        cfg.guarded(
-            rows, theta, first, [("A3-affine", cfg.tolerance("a3_affine"))],
-            lambda: [invariance.check_A3_affine(family, u, first, seed=cfg.seed, support_cap=cap)],
-        )
-    return rows
-
-
-def cmd_clt(cfg: RunConfig) -> list:
-    rows = []
-    family = cfg.family
-    quantities = [("ks_max", cfg.tolerance("ks")), ("moment_gap", None)]
-    for theta in cfg.thetas:
-        for n in cfg.n_list:
-            cfg.guarded(rows, theta, n, quantities, lambda: invariance.clt_diagnostics(family, theta, n, cfg.cap))
-    return rows
-
-
-def cmd_tensor(cfg: RunConfig) -> list:
-    rows = []
-    family, k, cap = cfg.family, cfg.k, cfg.cap
-    a = np.ones(family.order)
-    scaling = [(f"scaling_residual_k{k}", None), (f"scaling_exponent_k{k}", None)]
-    for theta in cfg.thetas:
-        (value,) = cfg.guarded(
-            rows, theta, 1, [(f"amari_chentsov_k{k}", None)],
-            lambda: [tensors.amari_chentsov(family, theta, [a] * k)],
-        )
-        if k == 3:  # value is NaN when amari_chentsov raised, so fd3_gap fails too
-            cfg.guarded(
-                rows, theta, 1, [("fd3_gap", cfg.tolerance("fd3"))],
-                lambda: [abs(value - tensors.fd_third_derivative(family, theta, a))],
-            )
-        for n in [n for n in cfg.n_list if n > 1]:
-            cfg.guarded(rows, theta, n, scaling, lambda: tensors.higher_scaling_check(family, theta, a, n, k, cap))
-    return rows
-
-
-def cmd_uniqueness(cfg: RunConfig) -> list:
-    rows = []
-    family, cap = cfg.family, cfg.cap
-    tol = cfg.tolerance("uniqueness")
-    n1, n2 = cfg.n_list[0], cfg.n_list[1]
-    candidates = [
-        ("fisher", geometry.FISHER, tol),
-        ("3xfisher", geometry.scaled_norm_functional(geometry.FISHER, 3.0), tol),
-        ("l1_perturbed", geometry.l1_perturbed_norm_functional(0.1), None),
-    ]
-    a = np.ones(family.order)
-    for theta in cfg.thetas:
-        u = TangentCoord(theta, a)
-        for label, functional, check_tol in candidates:
-            cfg.guarded(
-                rows, theta, n2, [(f"uniqueness_residual[{label}]", check_tol)],
-                lambda: [invariance.uniqueness_residual(functional, family, u, n1, n2, cap)],
-            )
-    fisher_field = geometry.fisher_metric_field(family)
-    fields = [
-        ("2.5xfisher", geometry.scaled_metric_field(fisher_field, 2.5), cfg.tolerance("spread")),
-        ("sin_perturbed", geometry.sinusoidal_fisher_field(family), None),
-    ]
-    for label, metric_field, check_tol in fields:
-        cfg.guarded(
-            rows, cfg.thetas[0], 1, [(f"recover_c_hat[{label}]", None), (f"recover_spread[{label}]", check_tol)],
-            lambda: invariance.recover_constant(metric_field, family, cfg.trials, cfg.seed),
-        )
+    ones = np.ones(cfg.family.order)
+    for i, theta in enumerate(cfg.thetas):
+        u = TangentCoord(theta, ones)
+        for scope, quantities, compute in checks:
+            named = [(name.format(k=cfg.k), None if key is None else cfg.tolerance(key))
+                     for name, key in quantities]
+            for n in _SCOPES[scope](cfg, i):
+                cfg.guarded(rows, theta, n, named, lambda: compute(cfg, u, n))
     return rows
 
 
 _COMMANDS = {
-    "families": (cmd_families, "list the registered families"),
-    "fisher": (cmd_fisher, "Fisher information matrices by route"),
-    "invariance": (cmd_invariance, "axiom residual report (A1, A2, A3)"),
-    "clt": (cmd_clt, "convergence diagnostics for the standardized push-forwards"),
-    "tensor": (cmd_tensor, "higher-order tensor values, derivative and scaling checks"),
-    "uniqueness": (cmd_uniqueness, "constant recovery and candidate-functional residuals"),
+    "families": "list the registered families",
+    "fisher": "Fisher information matrices by route",
+    "invariance": "axiom residual report (A1, A2, A3)",
+    "clt": "convergence diagnostics for the standardized push-forwards",
+    "tensor": "higher-order tensor values, derivative and scaling checks",
+    "uniqueness": "constant recovery and candidate-functional residuals",
 }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="infogeom", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, help_text in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == "families":
             continue
@@ -439,7 +436,7 @@ def main(argv=None) -> int:
         output = open(cfg.out, "w", encoding="utf-8", newline="") if cfg.out else contextlib.nullcontext(sys.stdout)
         with output as out:
             print(f"[infogeom] {args.command}: family={cfg.family.name} seed={cfg.seed}", file=sys.stderr)
-            rows = _COMMANDS[args.command][0](cfg)
+            rows = cmd_fisher(cfg) if args.command == "fisher" else run_checks(cfg, _CHECKS[args.command])
             _emit(rows, out)
     except (UsageError, OSError) as exc:  # OSError: a config file or output path that cannot be opened
         print(f"usage error: {exc}", file=sys.stderr)

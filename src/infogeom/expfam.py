@@ -44,8 +44,9 @@ class ThetaBox:
     def __post_init__(self):
         lo = np.array(self.lo, dtype=float).reshape(-1)  # copies: the caller's arrays stay writeable
         hi = np.array(self.hi, dtype=float).reshape(-1)
-        if lo.shape != hi.shape or np.any(lo >= hi):
-            raise ValueError("need lo < hi componentwise")
+        with np.errstate(over="ignore"):  # a NaN or inf bound gives a width that is not finite too
+            if lo.shape != hi.shape or np.any(lo >= hi) or not np.all(np.isfinite(hi - lo)):
+                raise ValueError("need lo < hi componentwise and a finite width hi - lo")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
@@ -390,7 +391,8 @@ def make_family(
     """Build a registered family; optional box bounds override the default.
 
     A definition that floats or the box cannot hold (a base weight or log-partition past the float range, lo >= hi,
-    a box of another dimension than the statistic) raises :class:`BadParamError` naming the family and parameters.
+    a width hi - lo that is not finite, a box of another dimension than the statistic) raises :class:`BadParamError`
+    naming the family and parameters.
     """
     if name not in _REGISTRY:
         raise UnknownFamilyError(f"unknown family {name!r}; known: {sorted(_REGISTRY)}")

@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -128,14 +129,22 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = _run(capsys, ["fisher", "--family", "bernoulli", "--route", "Z"])
     assert code == 1
 
+    # a theta given twice, even spelt differently, would write each of its rows twice
+    code, out, err = _run(capsys, ["invariance", "--family", "bernoulli", "--theta", "0,0.0", "--n", "1"])
+    assert code == 1 and out == "" and err.splitlines()[-1] == "usage error: theta '0.0' is given twice"
+
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["clt", "--family", "binomial", "--params", "m=1030"],
         ["clt", "--family", "bernoulli", "--theta-lo=3", "--theta-hi=-3"],
+        ["clt", "--family", "bernoulli", "--theta-lo=nan", "--theta-hi=3"],
+        ["clt", "--family", "bernoulli", "--theta-lo=-3", "--theta-hi=inf"],
+        ["clt", "--family", "bernoulli", "--theta-lo=-1e308", "--theta-hi=1e308"],
     ],
 )
+@pytest.mark.filterwarnings("error")  # pytest keeps warnings off the captured stderr, so one is made to fail the run
 def test_family_that_cannot_be_built_is_one_error_line(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 1 and out == ""
@@ -219,6 +228,30 @@ def test_every_tolerance_key_sets_some_row(capsys, key):
         assert code in (0, 2)
         tolerances |= {float(r["tolerance"]) for r in _rows(out) if r["tolerance"]}
     assert 1e-300 in tolerances
+
+
+def _readme_default(text):
+    """A default as the README's tolerance table writes it: a number, "none ...", or "<value> <kind>, ..."."""
+    if text.startswith("none"):
+        return None
+    parts = [part.split() for part in text.split(",")]
+    if len(parts) == 1 and len(parts[0]) == 1:
+        return float(parts[0][0])
+    return {kind: float(value) for value, kind in parts}
+
+
+def test_readme_tolerance_table_matches_tolerances():
+    # the README lists every --tol key with its default; a key added, dropped or re-set in one place only fails here
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    header = next(i for i, line in enumerate(lines) if re.match(r"\|\s*key\s*\|\s*default\s*\|", line))
+    table = {}
+    for line in lines[header + 2:]:
+        if not line.startswith("|"):
+            break
+        key, default = (cell.strip() for cell in line.strip("|").split("|")[:2])
+        assert key.strip("`") not in table, f"README lists {key} twice"
+        table[key.strip("`")] = _readme_default(default)
+    assert table == _TOLERANCES
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

@@ -247,6 +247,7 @@ def test_reparameterization_invariance(families):
                 assert abs(lhs - rhs) <= 1e-9
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning on the way to the error fails the test
 def test_make_family_errors():
     with pytest.raises(UnknownFamilyError):
         make_family("weibull")
@@ -268,6 +269,11 @@ def test_make_family_errors():
         ("gauss_known_var", {"nodes": 2000}, {}),  # hermgauss weights overflow to NaN
         ("bernoulli", {}, {"theta_lo": [3.0], "theta_hi": [-3.0]}),
         ("categorical", {"k": 3}, {"theta_lo": [-3.0], "theta_hi": [3.0]}),  # a 1-D box for a 2-D statistic
+        ("bernoulli", {}, {"theta_lo": [math.nan], "theta_hi": [3.0]}),
+        ("bernoulli", {}, {"theta_lo": [-3.0], "theta_hi": [math.inf]}),
+        ("bernoulli", {}, {"theta_lo": [-math.inf], "theta_hi": [math.inf]}),
+        ("bernoulli", {}, {"theta_lo": [-1e308], "theta_hi": [1e308]}),  # finite bounds, but hi - lo overflows
+        ("categorical", {"k": 3}, {"theta_lo": [-3.0, math.nan], "theta_hi": [3.0, 3.0]}),
     ]:
         message = re.escape(f"cannot build family '{name}' with parameters {params}")
         with pytest.raises(BadParamError, match=message):
