@@ -100,19 +100,21 @@ def check_A2(family: ExpFamily, u: TangentCoord, v: TangentCoord, n: int, suppor
 
 
 def claim1_pipeline(
-    family: ExpFamily, u: TangentCoord, n: int, functional: NormFunctional, support_cap: int = SUPPORT_CAP
-) -> float:
-    """Norm of the standardized push-forward: H(L_* Q_n, f L_* Q_n).
+    family: ExpFamily, u: TangentCoord, n: int, functionals: Sequence[NormFunctional],
+    support_cap: int = SUPPORT_CAP,
+) -> list:
+    """Norms of the standardized push-forward, H(L_* Q_n, f L_* Q_n), one per functional H.
 
-    L is the standardizing map and f(y) = (Sigma^{1/2} a) . y. For any
-    functional satisfying the axioms the value is independent of n; for the
-    Fisher functional it equals ||Sigma^{1/2} a|| exactly.
+    L is the standardizing map and f(y) = (Sigma^{1/2} a) . y; L_* Q_n is built
+    once for all the functionals. For any functional satisfying the axioms the
+    value is independent of n; for the Fisher functional it equals
+    ||Sigma^{1/2} a|| exactly.
     """
     qn = nef_distribution(family, u.theta, n, support_cap)
     lmap = standardizing_map(family, u.theta, n)
     standardized = push_forward(qn, lmap)
     coeff = sym_sqrt(cov_statistic(family, u.theta)) @ u.a
-    return functional.eval(standardized, coeff)
+    return [functional.eval(standardized, coeff) for functional in functionals]
 
 
 def check_A3_constancy(
@@ -124,7 +126,7 @@ def check_A3_constancy(
     n from H(Phi, f Phi); only a finite-n trend, never the limit itself.
     """
     reference = FISHER.gauss_fn(sym_sqrt(cov_statistic(family, u.theta)) @ u.a)
-    return max(abs(claim1_pipeline(family, u, n, FISHER, support_cap) - reference) for n in n_values)
+    return max(abs(claim1_pipeline(family, u, n, [FISHER], support_cap)[0] - reference) for n in n_values)
 
 
 def _random_affine(rng: np.random.Generator, dim: int) -> AffineMap:
@@ -250,46 +252,37 @@ def clt_diagnostics(family: ExpFamily, theta, n: int, support_cap: int = SUPPORT
 
 
 def uniqueness_residual(
-    functional: NormFunctional,
-    family: ExpFamily,
-    u: TangentCoord,
-    n1: int,
-    n2: int,
+    functionals: Sequence[NormFunctional], family: ExpFamily, u: TangentCoord, n1: int, n2: int,
     support_cap: int = SUPPORT_CAP,
-) -> float:
-    """Across-n inconsistency of a candidate functional.
+) -> list:
+    """Across-n inconsistency of each candidate functional, from one L_* Q_n per n.
 
     Any functional satisfying the axioms gives the same standardized
-    push-forward value at every n, so this difference must vanish; it is
+    push-forward value at every n, so its difference must vanish; it is
     strictly positive for the perturbed demonstrators.
     """
     if int(n1) == int(n2):
         raise PreconditionError("uniqueness residual needs two distinct extension sizes")
-    return abs(
-        claim1_pipeline(family, u, n1, functional, support_cap)
-        - claim1_pipeline(family, u, n2, functional, support_cap)
-    )
+    first = claim1_pipeline(family, u, n1, functionals, support_cap)
+    second = claim1_pipeline(family, u, n2, functionals, support_cap)
+    return [abs(h1 - h2) for h1, h2 in zip(first, second)]
 
 
-def recover_constant(
-    field: Callable,
-    family: ExpFamily,
-    trials: int = 20,
-    seed: int = 42,
-) -> tuple:
-    """Ratio of a metric field (theta -> matrix) to the Fisher field over random tangents, as (c_hat, spread).
+def recover_constant(fields: Sequence[Callable], family: ExpFamily, trials: int = 20, seed: int = 42) -> list:
+    """Ratio of each metric field (theta -> matrix) to the Fisher field over random tangents.
 
     Samples theta from the family grid and directions from the unit sphere,
-    and forms the metric-level ratio g(u, u) / g^F(u, u) (squared norms, so a
-    field equal to c times the Fisher field recovers c_hat = c). ``c_hat`` is
-    their mean and ``spread`` their max - min; zero spread pins the field to
-    one multiple.
+    once for all the fields, and forms the metric-level ratio g(u, u) /
+    g^F(u, u) (squared norms, so a field equal to c times the Fisher field
+    recovers c_hat = c). Returns c_hat, the mean, and spread, max - min, per
+    field: [c_hat_1, spread_1, c_hat_2, ...]; zero spread pins a field to one
+    multiple.
     """
     rng = np.random.default_rng(seed)
     fisher = fisher_metric_field(family)
     grid = family.theta_grid
-    ratios = []
-    for _ in range(int(trials)):
+    ratios = np.empty((len(fields), int(trials)))
+    for trial in range(int(trials)):
         theta = grid[int(rng.integers(len(grid)))]
         a = rng.standard_normal(family.order)
         norm = float(np.linalg.norm(a))
@@ -298,9 +291,9 @@ def recover_constant(
             norm = float(np.linalg.norm(a))
         u = TangentCoord(theta, a / norm)
         denominator = metric_eval(fisher, u, u)
-        numerator = metric_eval(field, u, u)
-        if not np.isfinite(numerator) or numerator <= 0.0:
-            raise RankError("candidate metric is degenerate along a sampled tangent")
-        ratios.append(numerator / denominator)
-    ratios = np.asarray(ratios)
-    return float(ratios.mean()), float(ratios.max() - ratios.min())
+        for row, field in zip(ratios, fields):
+            numerator = metric_eval(field, u, u)
+            if not np.isfinite(numerator) or numerator <= 0.0:
+                raise RankError("candidate metric is degenerate along a sampled tangent")
+            row[trial] = numerator / denominator
+    return [float(x) for row in ratios for x in (row.mean(), row.max() - row.min())]

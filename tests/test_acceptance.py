@@ -104,7 +104,7 @@ def test_criterion_4_claim1_constancy(families, discrete_families, quadrature_fa
         for theta in f.theta_grid:
             u = TangentCoord(theta, a)
             reference = float(np.linalg.norm(np.linalg.cholesky(cov_statistic(f, theta)).T @ a))
-            values = [claim1_pipeline(f, u, n, FISHER) for n in n_values]
+            values = [claim1_pipeline(f, u, n, [FISHER])[0] for n in n_values]
             worst_range = max(worst_range, max(values) - min(values))
             worst_value = max(worst_value, max(abs(v - reference) for v in values))
     elapsed = time.perf_counter() - start
@@ -153,12 +153,12 @@ def test_criterion_6_claim2_rotation(families):
 def test_criterion_7_uniqueness_witness(families):
     f = families["bernoulli"]
     scaled = scaled_metric_field(fisher_metric_field(f), 2.5)
-    c_hat, spread = recover_constant(scaled, f, trials=20, seed=42)
+    c_hat, spread = recover_constant([scaled], f, trials=20, seed=42)
 
     u = TangentCoord([0.0], [1.0])
-    perturbed = uniqueness_residual(l1_perturbed_norm_functional(0.1), f, u, 1, 4)
-    fisher_res = uniqueness_residual(FISHER, f, u, 1, 4)
-    _, wobble = recover_constant(sinusoidal_fisher_field(f), f, trials=20, seed=42)
+    perturbed = uniqueness_residual([l1_perturbed_norm_functional(0.1)], f, u, 1, 4)[0]
+    fisher_res = uniqueness_residual([FISHER], f, u, 1, 4)[0]
+    _, wobble = recover_constant([sinusoidal_fisher_field(f)], f, trials=20, seed=42)
 
     ok = (
         abs(c_hat - 2.5) <= 1e-10

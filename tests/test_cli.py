@@ -119,7 +119,7 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, capsys):
     code, _, err = _run(capsys, ["invariance", "--family", "nope"])
     assert code == 1 and "error" in err
 
@@ -132,6 +132,17 @@ def test_usage_errors_exit_1(capsys):
     # a theta given twice, even spelt differently, would write each of its rows twice
     code, out, err = _run(capsys, ["invariance", "--family", "bernoulli", "--theta", "0,0.0", "--n", "1"])
     assert code == 1 and out == "" and err.splitlines()[-1] == "usage error: theta '0.0' is given twice"
+
+    # so is a key given twice in --params, --tol or a config file, where the last value would win unseen
+    code, out, err = _run(capsys, ["clt", "--family", "binomial", "--params", "m=4,m=6"])
+    assert code == 1 and out == "" and err.splitlines() == ["usage error: key 'm' is given twice in 'm=4,m=6'"]
+    for tol in ("ks=1,ks=1e-9", "1e-9,default=2"):
+        code, out, err = _run(capsys, ["clt", "--family", "bernoulli", "--tol", tol])
+        assert code == 1 and out == "" and err.splitlines()[-1].endswith(f"is given twice in {tol!r}")
+    config = tmp_path / "twice.ini"
+    config.write_text("family = bernoulli\nn = 1,2\nn = 1,4\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["clt", "--config", str(config)])
+    assert code == 1 and out == "" and err.splitlines()[-1] == f"usage error: {config}:3: key 'n' is given twice"
 
 
 @pytest.mark.parametrize(
@@ -448,6 +459,42 @@ def test_integer_option_below_minimum_is_usage_error(tmp_path, capsys, command, 
     code, out, err = _run(capsys, argv)
     assert code == 1 and out == ""
     assert err.splitlines()[-1] == f"usage error: {key} must be an integer >= {minimum}, got {value}"
+
+
+# above its maximum, k would overflow some family's tensor (poisson_trunc from k = 117); trials would only cost time
+@pytest.mark.parametrize(
+    "command, key, value, maximum",
+    [("tensor", "k", "65", 64), ("tensor", "k", "200", 64), ("uniqueness", "trials", "10001", 10_000)],
+)
+@pytest.mark.parametrize("by_config", [False, True])
+def test_integer_option_above_maximum_is_usage_error(tmp_path, capsys, command, key, value, maximum, by_config):
+    argv = [command, "--family", "bernoulli", "--theta", "0", "--n", "1,2"]
+    if by_config:
+        config = tmp_path / "run.ini"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        argv += ["--config", str(config)]
+    else:
+        argv.append(f"--{key}={value}")
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == f"usage error: {key} must be an integer <= {maximum}, got {value}"
+
+
+def test_uniqueness_builds_one_standardized_measure_per_n(monkeypatch, capsys):
+    # the candidates share L_* Q_n at each n and one Fisher value per sampled tangent: 2 and 1 + 2 per trial
+    calls = {"push_forward": 0, "metric_eval": 0}
+    for name in calls:
+        original = getattr(invariance, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(invariance, name, counting)
+    argv = ["uniqueness", "--family", "bernoulli", "--theta", "0", "--n", "1,2", "--trials", "5"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and len(_rows(out)) == 7
+    assert calls == {"push_forward": 2, "metric_eval": 15}
 
 
 def test_tensor_theta_outside_box_is_a_failing_row(capsys):

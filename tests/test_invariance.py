@@ -103,18 +103,18 @@ def test_A1_A2_residuals_quadrature(quadrature_families):
 def test_claim1_constancy_bernoulli(families):
     f = families["bernoulli"]
     u = TangentCoord([0.0], [1.0])
-    values = [claim1_pipeline(f, u, n, FISHER) for n in (1, 2, 4, 8, 16, 32)]
+    values = [claim1_pipeline(f, u, n, [FISHER])[0] for n in (1, 2, 4, 8, 16, 32)]
     assert all(abs(v - 0.5) <= 1e-10 for v in values)
 
     zero = TangentCoord([0.0], [0.0])
-    assert all(claim1_pipeline(f, zero, n, FISHER) == 0.0 for n in (1, 2, 4))
+    assert all(claim1_pipeline(f, zero, n, [FISHER])[0] == 0.0 for n in (1, 2, 4))
 
 
 def test_claim1_poisson(families):
     f = families["poisson_trunc"]
     u = TangentCoord([0.0], [1.0])
     for n in (1, 2, 4, 8, 16):
-        assert abs(claim1_pipeline(f, u, n, FISHER) - 1.0) <= 1e-9
+        assert abs(claim1_pipeline(f, u, n, [FISHER])[0] - 1.0) <= 1e-9
 
 
 def test_check_A3_constancy_report(families):
@@ -269,30 +269,30 @@ def test_claim2_matched_random_pairs(families):
 def test_uniqueness_residual_fisher_and_scaled(families):
     f = families["bernoulli"]
     u = TangentCoord([0.0], [1.0])
-    assert uniqueness_residual(FISHER, f, u, 1, 4) <= 1e-10
-    assert uniqueness_residual(scaled_norm_functional(FISHER, 3.0), f, u, 1, 4) <= 1e-10
+    assert uniqueness_residual([FISHER], f, u, 1, 4)[0] <= 1e-10
+    assert uniqueness_residual([scaled_norm_functional(FISHER, 3.0)], f, u, 1, 4)[0] <= 1e-10
     for fam in families.values():
         uu = TangentCoord(fam.theta_grid[2], np.ones(fam.order))
-        assert uniqueness_residual(FISHER, fam, uu, 1, 2) <= 1e-10
+        assert uniqueness_residual([FISHER], fam, uu, 1, 2)[0] <= 1e-10
 
 
 def test_uniqueness_residual_perturbed_value(families):
     f = families["bernoulli"]
     u = TangentCoord([0.0], [1.0])
-    residual = uniqueness_residual(l1_perturbed_norm_functional(0.1), f, u, 1, 4)
+    residual = uniqueness_residual([l1_perturbed_norm_functional(0.1)], f, u, 1, 4)[0]
     assert residual == pytest.approx(0.0125, abs=1e-12)
 
 
 def test_uniqueness_residual_requires_distinct_n(families):
     with pytest.raises(PreconditionError):
-        uniqueness_residual(FISHER, families["bernoulli"], TangentCoord([0.0], [1.0]), 2, 2)
+        uniqueness_residual([FISHER], families["bernoulli"], TangentCoord([0.0], [1.0]), 2, 2)
 
 
 def test_perturbed_functional_detectable_on_grid(families):
     f = families["bernoulli"]
     pert = l1_perturbed_norm_functional(0.1)
     worst = max(
-        uniqueness_residual(pert, f, TangentCoord(theta, [1.0]), 1, 4) for theta in f.theta_grid
+        uniqueness_residual([pert], f, TangentCoord(theta, [1.0]), 1, 4)[0] for theta in f.theta_grid
     )
     assert worst >= 1e-3
 
@@ -300,14 +300,14 @@ def test_perturbed_functional_detectable_on_grid(families):
 def test_recover_constant_scaled(families):
     f = families["bernoulli"]
     field = scaled_metric_field(fisher_metric_field(f), 2.5)
-    c_hat, spread = recover_constant(field, f, trials=20, seed=42)
+    c_hat, spread = recover_constant([field], f, trials=20, seed=42)
     assert c_hat == pytest.approx(2.5, abs=1e-10)
     assert spread <= 1e-10
 
 
 def test_recover_constant_identity(families):
     f = families["poisson_trunc"]
-    c_hat, spread = recover_constant(fisher_metric_field(f), f, trials=20, seed=1)
+    c_hat, spread = recover_constant([fisher_metric_field(f)], f, trials=20, seed=1)
     assert c_hat == pytest.approx(1.0, abs=1e-12)
     assert spread <= 1e-12
 
@@ -316,8 +316,8 @@ def test_recover_constant_scale_invariant_in_tangent(families):
     # the ratio is 0-homogeneous in the direction, so c_hat ignores tangent scale
     f = families["bernoulli"]
     field = scaled_metric_field(fisher_metric_field(f), 2.5)
-    c1, _ = recover_constant(field, f, trials=7, seed=9)
-    c2, _ = recover_constant(field, f, trials=13, seed=10)
+    c1, _ = recover_constant([field], f, trials=7, seed=9)
+    c2, _ = recover_constant([field], f, trials=13, seed=10)
     assert c1 == pytest.approx(c2, abs=1e-10)
 
     from infogeom.geometry import metric_eval
@@ -332,19 +332,19 @@ def test_recover_constant_scale_invariant_in_tangent(families):
 
 def test_recover_constant_detects_sinusoidal(families):
     f = families["bernoulli"]
-    _, spread = recover_constant(sinusoidal_fisher_field(f), f, trials=20, seed=42)
+    _, spread = recover_constant([sinusoidal_fisher_field(f)], f, trials=20, seed=42)
     assert spread > 0.05
 
 
 def test_recover_constant_degenerate_raises(families):
     f = families["bernoulli"]
     with pytest.raises(RankError):
-        recover_constant(lambda t: np.zeros((1, 1)), f, trials=3, seed=0)
+        recover_constant([lambda t: np.zeros((1, 1))], f, trials=3, seed=0)
 
 
 def test_quadrature_families_claim1_small_n(quadrature_families):
     for f in quadrature_families:
         u = TangentCoord(f.theta_grid[2], np.ones(f.order))
-        coeff_norm = claim1_pipeline(f, u, 1, FISHER)
+        coeff_norm = claim1_pipeline(f, u, 1, [FISHER])[0]
         for n in (2, 3):
-            assert abs(claim1_pipeline(f, u, n, FISHER) - coeff_norm) <= 1e-9
+            assert abs(claim1_pipeline(f, u, n, [FISHER])[0] - coeff_norm) <= 1e-9
