@@ -17,15 +17,20 @@ whose coordinates are all such integers (``integer_keyed``) may instead be
 grouped by an integer cell index that numbers them in key order: the cells
 split them into the same groups, in the same order, as the keys, and both
 sorts are stable, so the plan is the same bit for bit. ``MergePlan.of_sums``
-plans the pairwise sums of two point arrays this way when it can.
+plans the pairwise sums of two point arrays this way when it can. Cells of a
+grid of at most 65,535 are uint16 and take a stable counting sort
+(``_counted_groups``) that writes the int32 order directly: a stable sort
+lists the cells by (cell, input position) whichever way it runs, so the
+order is the one ``argsort`` gives, and no int64 index per pair is made.
 
 Canonicalization works in blocks of ``BLOCK`` points: ``quantize``, the key
-comparisons that find where groups start, the quantized keys of pairwise
-sums (one block of rows of the first factor at a time) and the merges of a
-plan (whole groups gathered and summed together; the weight products of a
-sum step formed per block). Only elementwise work, ``reduceat`` over whole
-groups and ``max`` are split, because each gives the same bits in blocks.
-``np.sum`` and ``cumsum`` keep their whole operand arrays, because their
+comparisons that find where groups start, the counting sort of uint16
+cells, the quantized keys of pairwise sums (one block of rows of the first
+factor at a time) and the merges of a plan (whole groups gathered and
+summed together; the weight products of a sum step formed per block). Only
+elementwise work, integer counts, ``reduceat`` over whole groups and
+``max`` are split, because each gives the same bits in blocks. ``np.sum``
+and float ``cumsum`` keep their whole operand arrays, because their
 rounding depends on the whole array; a matmul keeps its shape, because a
 different shape can round differently. So the (pairs, m) array of the sums
 and a weight per pair are never made: of the arrays as long as the list of
@@ -46,6 +51,7 @@ from .errors import AbsoluteContinuityError
 SIGNIFICANT_DIGITS = 12
 TANGENT_MASS_TOL = 1e-10
 BLOCK = 1 << 16  # points per block of canonicalization's elementwise work, comparisons and merges
+# (at most 2**16: ``_counted_groups`` packs a uint16 cell and a position in a block into 32 bits)
 
 
 def quantize(values) -> np.ndarray:
@@ -95,9 +101,9 @@ def _sum_cells(a: np.ndarray, b: np.ndarray):
 
     The cell of a sum is the cell of a_i plus the cell of b_j, so one outer
     add of two short vectors numbers every pair, in the key order of the
-    sums. uint16 up to 65,535 cells lets numpy's stable argsort run a radix
-    sort. None, for the quantized route, unless every point and every sum is
-    ``integer_keyed`` and the grid fits int64.
+    sums. uint16 up to 65,535 cells, which ``_groups`` sorts by counting,
+    uint32 up to 2**32 and int64 beyond. None, for the quantized route, unless
+    every point and every sum is ``integer_keyed`` and the grid fits int64.
     """
     lo_a, lo_b = a.min(axis=0), b.min(axis=0)
     lo, hi = lo_a + lo_b, a.max(axis=0) + b.max(axis=0)
@@ -133,17 +139,53 @@ def _quantized_sum_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _groups(make_keys):
     """Stable order of the keys ``make_keys()`` gives, and where each run of equal keys starts in it.
 
-    (N,) integer cells take a stable ``argsort``, (N, m) float keys a
-    ``lexsort`` by column. The keys are freed before the order is narrowed to
-    int32 (below 2**31 keys), and the int64 order right after.
+    (N,) uint16 cells take ``_counted_groups``. Wider (N,) cells take a
+    stable ``argsort`` and (N, m) float keys a ``lexsort`` by column; their
+    keys are freed before the order is narrowed to int32 (below 2**31 keys),
+    and the int64 order right after.
     """
     keys = make_keys()
+    index = np.int32 if keys.shape[0] < 2**31 else np.intp
+    if keys.dtype == np.uint16:
+        return _counted_groups(keys, index)
     order = np.argsort(keys, kind="stable") if keys.ndim == 1 else np.lexsort(keys.T[::-1])
     fresh = _fresh(keys, order)
     del keys
-    index = np.int32 if order.shape[0] < 2**31 else np.intp
     order = order.astype(index)
     return _frozen(order), _frozen(np.flatnonzero(fresh).astype(index))
+
+
+def _counted_groups(cells: np.ndarray, index):
+    """``_groups`` of (N,) uint16 cells by a stable counting sort, written straight into ``index`` arrays.
+
+    Cells are counted a block at a time (a whole-array ``bincount`` would copy
+    them to intp) in as many bins as the largest cell needs. Then each block,
+    in input order, is sorted stably and its positions go to their cells'
+    next free slots, so each cell's positions land in input order, as a
+    stable ``argsort`` puts them. A block sorts the uint32 keys cell * 2**16
+    + position in the block: they are distinct, so any sort of them is stable.
+    """
+    size = int(cells.max()) + 1
+    counts = np.zeros(size, dtype=np.intp)
+    for start in range(0, cells.shape[0], BLOCK):
+        counts += np.bincount(cells[start:start + BLOCK], minlength=size)
+    free = np.cumsum(counts) - counts  # each cell's next free slot in the order
+    starts = free[counts > 0].astype(index)
+    order = np.empty(cells.shape[0], dtype=index)
+    for start in range(0, cells.shape[0], BLOCK):
+        block = cells[start:start + BLOCK]
+        here = np.bincount(block, minlength=size)
+        # the k-th of the block's cells in sorted order goes to its cell's next free slot, moved on by
+        # k less the number of the block's cells sorted before that cell
+        slot = np.repeat(free - (np.cumsum(here) - here), here)
+        slot += np.arange(block.shape[0])
+        key = block.astype(np.uint32) << 16
+        key |= np.arange(block.shape[0], dtype=np.uint32)
+        position = (np.sort(key) & 0xFFFF).astype(index)
+        position += start
+        order[slot] = position
+        free += here
+    return _frozen(order), _frozen(starts)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

@@ -294,20 +294,34 @@ def test_sums_off_the_integer_keys_take_the_quantized_route(a, b, monkeypatch):
     assert _plans_equal(plan, _quantized_plan(a, b))
 
 
-def _blocky_factors():
-    """Two point arrays off the integer keys whose pair sums hold long groups, -0.0 and 12-digit ties."""
+def _blocky_factors(lattice):
+    """Two point arrays whose pair sums hold long groups, -0.0 and, off the lattice, 12-digit ties.
+
+    On the lattice every point is an integer, so the sums take uint16 integer cells, and the counting sort.
+    """
     rng = np.random.default_rng(7)
-    lattice = rng.choice([-0.25, -0.0, 0.0, 0.25, 0.5], 30)  # long groups; -0.0 first, so a -0.0 sum leads its group
-    a = np.concatenate([[-0.0], lattice, rng.standard_normal(10)]).reshape(-1, 1)
+    if lattice:  # five values, so each group of sums is long; -0.0 first, so a -0.0 sum leads its group
+        a = np.concatenate([[-0.0], rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], 40)]).reshape(-1, 1)
+        b = np.array([-0.0, 0.0, 1.0, -1.0, 3.0, 0.0]).reshape(-1, 1)
+        return a, b
+    grid = rng.choice([-0.25, -0.0, 0.0, 0.25, 0.5], 30)  # long groups; -0.0 first, so a -0.0 sum leads its group
+    a = np.concatenate([[-0.0], grid, rng.standard_normal(10)]).reshape(-1, 1)
     b = np.concatenate([[-0.0, 0.0, 0.25, -0.25, 1.0 + 2.0**-45, 1.0], rng.standard_normal(5)]).reshape(-1, 1)
     return a, b
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_blocks_change_no_bits(block, dim, monkeypatch):
+@pytest.mark.parametrize(
+    "block, dim, lattice",
+    [
+        pytest.param(block, dim, lattice, id=("lattice-" if lattice else "") + f"{dim}-{block}")
+        for lattice in (False, True)
+        for dim in (1, 2)
+        for block in (1, 2, 3, 7, 64)
+    ],
+)
+def test_blocks_change_no_bits(block, dim, lattice, monkeypatch):
     # every result in blocks of `block` points against the one-shot reference (inputs below one default block)
-    a, b = _blocky_factors()
+    a, b = _blocky_factors(lattice)
     if dim == 2:
         a, b = np.hstack([a, 2.0 * a]), np.hstack([b, -b])
     sums = (a[:, None, :] + b[None, :, :]).reshape(-1, dim)
@@ -315,7 +329,8 @@ def test_blocks_change_no_bits(block, dim, monkeypatch):
     q = np.linspace(1.0, 0.25, b.shape[0]) / 7.0
     ref_keys = quantize(sums)
     ref_plan = _quantized_plan(a, b)
-    assert measures._sum_cells(a, b) is None
+    cells = measures._sum_cells(a, b)
+    assert (cells.dtype == np.uint16) if lattice else (cells is None)
     last = np.append(ref_plan.starts[1:], sums.shape[0]) - 1
     assert np.any(ref_plan.starts // block < last // block)  # a group straddles a block edge
     negative_zero = (ref_plan.points == 0.0) & np.signbit(ref_plan.points)
@@ -355,6 +370,32 @@ def test_q_n_builds_keep_no_pair_sized_temporaries():
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("key, n", [("binomial", 1024), ("categorical", 128)])
+def test_uint16_sum_steps_keep_no_int64_index_per_pair(key, n, monkeypatch):
+    # the high-n lattice ladders' sum steps of 2^20 pairs and more (up to 4.6M) sort uint16 cells: an int64
+    # index per pair (8 bytes) must not be made; the cells and the int32 order take 6
+    f = make_family(key)  # a new family object: every plan is built cold
+    per_pair = {}
+    sum_plan = derived._sum_plan
+
+    def measured(a, b, support_cap):
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        plan = sum_plan(a, b, support_cap)
+        pairs = a.shape[0] * b.shape[0]
+        per_pair[pairs] = (tracemalloc.get_traced_memory()[1] - live) / pairs
+        return plan
+
+    monkeypatch.setattr(derived, "_sum_plan", measured)
+    tracemalloc.start()
+    try:
+        nef_distribution(f, f.theta_grid[1], n)
+    finally:
+        tracemalloc.stop()
+    large = {pairs: cost for pairs, cost in per_pair.items() if pairs >= 2**20}
+    assert max(per_pair) > 4_000_000 and all(cost < 8.0 for cost in large.values()), large
+
+
 @pytest.mark.parametrize(
     "top, dtype",
     [
@@ -373,6 +414,31 @@ def test_integer_cells_take_the_narrowest_type_and_never_wrap(top, dtype):
     assert cells.dtype == dtype
     assert int(cells.min()) == 0 and int(cells.max()) == grid - 1
     assert _plans_equal(derived._sum_plan(a, b, derived.SUPPORT_CAP), _quantized_plan(a, b))
+
+
+@pytest.mark.parametrize(
+    "top, counted",
+    # grids of 65,535 and 255^2 cells (uint16), 65,536 (uint32) and 2^32 + 2 (int64)
+    [([65_533.0], True), ([253.0, 253.0], True), ([65_534.0], False), ([2.0**32], False)],
+)
+def test_uint16_cells_sort_by_counting_in_blocks(top, counted, monkeypatch):
+    # 30 pairs in blocks of 4: uint16 cells are sorted a block at a time, wider cells by one argsort of them all
+    assert measures.BLOCK <= 1 << 16  # a uint16 cell and a position in a block pack into 32 bits
+    a = np.array([[0.0] * len(top), [1.0] * len(top), [2.0] * len(top), [1.0] * len(top), top])
+    b = np.array([[v] * len(top) for v in (0.0, -0.0, 1.0, 0.0, 1.0, 0.0)])
+    ref = _quantized_plan(a, b)
+    assert (measures._sum_cells(a, b).dtype == np.uint16) == counted
+    sizes = {"argsort": [], "sort": []}
+
+    def spy(name):
+        sort = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda keys, **kw: sizes[name].append(len(keys)) or sort(keys, **kw))
+
+    spy("argsort")
+    spy("sort")
+    monkeypatch.setattr(measures, "BLOCK", 4)
+    assert _plans_equal(derived._sum_plan(a, b, derived.SUPPORT_CAP), ref)
+    assert sizes == ({"argsort": [], "sort": [4] * 7 + [2]} if counted else {"argsort": [30], "sort": []})
 
 
 def _bitwise_equal(p, q):
