@@ -17,11 +17,13 @@ whose coordinates are all such integers (``integer_keyed``) may instead be
 grouped by an integer cell index that numbers them in key order: the cells
 split them into the same groups, in the same order, as the keys, and both
 sorts are stable, so the plan is the same bit for bit. ``MergePlan.of_sums``
-plans the pairwise sums of two point arrays this way when it can. Cells of a
-grid of at most 65,535 are uint16 and take a stable counting sort
-(``_counted_groups``) that writes the int32 order directly: a stable sort
-lists the cells by (cell, input position) whichever way it runs, so the
-order is the one ``argsort`` gives, and no int64 index per pair is made.
+plans the pairwise sums of two point arrays this way when it can: the cell
+of a sum is the sum of its factors' cells. Cells of a grid of at most 65,535
+are uint16 and take a stable counting sort (``_counted_groups``) that makes
+them a block at a time from the factors' cells and writes the int32 order
+directly: a stable sort lists the cells by (cell, input position) whichever
+way it runs, so the order is the one ``argsort`` gives, and neither an
+array of the pairs' cells nor an int64 index per pair is made.
 
 Canonicalization works in blocks of ``BLOCK`` points: ``quantize``, the key
 comparisons that find where groups start, the counting sort of uint16
@@ -34,8 +36,11 @@ and float ``cumsum`` keep their whole operand arrays, because their
 rounding depends on the whole array; a matmul keeps its shape, because a
 different shape can round differently. So the (pairs, m) array of the sums
 and a weight per pair are never made: of the arrays as long as the list of
-pairs, only the sort keys exist for a while, and the plan's ``order``
-stays.
+pairs, the plan's ``order`` stays, and only the sort keys of the ``argsort``
+and ``lexsort`` routes exist for a while. The counting sort and the merges
+keep a block's temporaries in buffers made once per call and written with
+``out=``: that moves where a value is written, not how it is computed, and
+the blocks stay the same runs of input in the same order, so no bit moves.
 """
 
 from __future__ import annotations
@@ -97,13 +102,14 @@ def _fresh(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def _sum_cells(a: np.ndarray, b: np.ndarray):
-    """Cells of the pairwise sums a_i + b_j in the row-major grid of their box, flattened over (i, j).
+    """Cells of the points of a and of b in the row-major grid of the box of their pairwise sums.
 
-    The cell of a sum is the cell of a_i plus the cell of b_j, so one outer
-    add of two short vectors numbers every pair, in the key order of the
-    sums. uint16 up to 65,535 cells, which ``_groups`` sorts by counting,
-    uint32 up to 2**32 and int64 beyond. None, for the quantized route, unless
-    every point and every sum is ``integer_keyed`` and the grid fits int64.
+    The cell of a sum a_i + b_j is the cell of a_i plus the cell of b_j, in
+    the key order of the sums, so the two short vectors number every pair.
+    They take the type of the sums' cells: uint16 up to 65,535 cells, which
+    ``_counted_groups`` sorts by counting, uint32 up to 2**32 and int64
+    beyond. None, for the quantized route, unless every point and every sum
+    is ``integer_keyed`` and the grid fits int64.
     """
     lo_a, lo_b = a.min(axis=0), b.min(axis=0)
     lo, hi = lo_a + lo_b, a.max(axis=0) + b.max(axis=0)
@@ -117,7 +123,7 @@ def _sum_cells(a: np.ndarray, b: np.ndarray):
     dtype = np.uint16 if cells <= 65_535 else np.uint32 if cells <= 2**32 else np.int64
     ca = ((a - lo_a).astype(np.int64) @ strides).astype(dtype)
     cb = ((b - lo_b).astype(np.int64) @ strides).astype(dtype)
-    return (ca[:, None] + cb[None, :]).reshape(-1)
+    return ca, cb
 
 
 def _quantized_sum_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,15 +145,12 @@ def _quantized_sum_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _groups(make_keys):
     """Stable order of the keys ``make_keys()`` gives, and where each run of equal keys starts in it.
 
-    (N,) uint16 cells take ``_counted_groups``. Wider (N,) cells take a
-    stable ``argsort`` and (N, m) float keys a ``lexsort`` by column; their
-    keys are freed before the order is narrowed to int32 (below 2**31 keys),
-    and the int64 order right after.
+    (N,) integer cells take a stable ``argsort`` and (N, m) float keys a
+    ``lexsort`` by column; the keys are freed before the order is narrowed to
+    int32 (below 2**31 keys), and the int64 order right after.
     """
     keys = make_keys()
     index = np.int32 if keys.shape[0] < 2**31 else np.intp
-    if keys.dtype == np.uint16:
-        return _counted_groups(keys, index)
     order = np.argsort(keys, kind="stable") if keys.ndim == 1 else np.lexsort(keys.T[::-1])
     fresh = _fresh(keys, order)
     del keys
@@ -155,36 +158,62 @@ def _groups(make_keys):
     return _frozen(order), _frozen(np.flatnonzero(fresh).astype(index))
 
 
-def _counted_groups(cells: np.ndarray, index):
-    """``_groups`` of (N,) uint16 cells by a stable counting sort, written straight into ``index`` arrays.
+def _counted_groups(ca: np.ndarray, cb: np.ndarray):
+    """``_groups`` of the uint16 cells ca_i + cb_j of pairwise sums (flattened over (i, j)) by a counting sort.
 
-    Cells are counted a block at a time (a whole-array ``bincount`` would copy
-    them to intp) in as many bins as the largest cell needs. Then each block,
-    in input order, is sorted stably and its positions go to their cells'
-    next free slots, so each cell's positions land in input order, as a
-    stable ``argsort`` puts them. A block sorts the uint32 keys cell * 2**16
-    + position in the block: they are distinct, so any sort of them is stable.
+    A block's cells are made in one buffer, made per call, from the rows of
+    ca that the block spans: no array of all the pairs' cells exists. They
+    are counted in as many bins as the largest cell needs. Then each block,
+    in input order, is made again, sorted stably, and its positions go to
+    their cells' next free slots, so each cell's positions land in input
+    order, as a stable ``argsort`` puts them. A block sorts the uint32 keys
+    cell * 2**16 + position in the block: they are distinct, so any sort of
+    them is stable. The keys are made in the buffer, and the block's intp
+    slots in the order then take their place, so beside the order a step
+    holds a buffer, a block's sorted keys and per-cell counts.
     """
-    size = int(cells.max()) + 1
+    nb, total = cb.shape[0], ca.shape[0] * cb.shape[0]
+    index = np.int32 if total < 2**31 else np.intp
+    size = int(ca.max()) + int(cb.max()) + 1
+    width = min(BLOCK, total)
+    rows = min(ca.shape[0], width // nb + 2) * nb  # pairs in the rows of ca that a block spans, at most
+    buffer = np.empty(max(width, -(-rows // 2)), dtype=np.intp)  # a block's intp slots, or its rows' uint32 keys
+    high_a, high_b = (c.astype(np.uint32) << 16 for c in (ca, cb))  # the cells in the high half of a uint32 key
+
+    def made(x, y, start):
+        """The sums x_i + y_j of the block of pairs at start, made in the buffer from the rows of x it spans."""
+        top, stop = start // nb, min(start + BLOCK, total)
+        flat = buffer.view(x.dtype)
+        grid = flat[:(-(-stop // nb) - top) * nb].reshape(-1, nb)
+        np.add(x[top:top + grid.shape[0], None], y, out=grid)
+        return flat[start - top * nb:stop - top * nb]
+
     counts = np.zeros(size, dtype=np.intp)
-    for start in range(0, cells.shape[0], BLOCK):
-        counts += np.bincount(cells[start:start + BLOCK], minlength=size)
+    for start in range(0, total, BLOCK):
+        counts += np.bincount(made(ca, cb, start), minlength=size)
     free = np.cumsum(counts) - counts  # each cell's next free slot in the order
     starts = free[counts > 0].astype(index)
-    order = np.empty(cells.shape[0], dtype=index)
-    for start in range(0, cells.shape[0], BLOCK):
-        block = cells[start:start + BLOCK]
-        here = np.bincount(block, minlength=size)
-        # the k-th of the block's cells in sorted order goes to its cell's next free slot, moved on by
-        # k less the number of the block's cells sorted before that cell
-        slot = np.repeat(free - (np.cumsum(here) - here), here)
-        slot += np.arange(block.shape[0])
-        key = block.astype(np.uint32) << 16
-        key |= np.arange(block.shape[0], dtype=np.uint32)
-        position = (np.sort(key) & 0xFFFF).astype(index)
+    order = np.empty(total, dtype=index)
+    for start in range(0, total, BLOCK):
+        key = made(high_a, high_b, start)
+        key |= np.arange(key.shape[0], dtype=np.uint16)
+        ranked = np.sort(key)
+        slot = buffer[:key.shape[0]]
+        np.right_shift(ranked, 16, out=slot)  # the block's cells, sorted
+        here = np.bincount(slot, minlength=size)
+        occupied = np.flatnonzero(here)
+        runs = np.cumsum(here[occupied]) - here[occupied]  # where each occupied cell's run starts in the block
+        # the k-th sorted position goes to slot k + free[cell] - (its cell's run start): the slots rise by 1 and
+        # jump where a run starts, and their cumulative sum gives them in place
+        slot.fill(1)
+        slot[runs] += np.diff(free[occupied] - runs, prepend=1)
+        np.cumsum(slot, out=slot)
+        free += here
+        np.bitwise_and(ranked, 0xFFFF, out=ranked)
+        position = ranked.view(np.int32) if index is np.int32 else ranked.astype(np.intp)
         position += start
         order[slot] = position
-        free += here
+        del ranked, position  # before the next block's keys are sorted
     return _frozen(order), _frozen(starts)
 
 
@@ -237,12 +266,11 @@ class MergePlan:
         quantized sums of ``_quantized_sum_keys``, and only the canonical sums
         are made.
         """
-
-        def keys():
-            cells = _sum_cells(a, b)
-            return _quantized_sum_keys(a, b) if cells is None else cells
-
-        order, starts = _groups(keys)
+        cells = _sum_cells(a, b)
+        if cells is not None and cells[0].dtype == np.uint16:
+            order, starts = _counted_groups(*cells)
+        else:  # the wider cells of every pair at once, or the quantized keys
+            order, starts = _groups(lambda: np.add.outer(*cells).ravel() if cells else _quantized_sum_keys(a, b))
         first = order[starts]
         return cls(_frozen(a[first // b.shape[0]] + b[first % b.shape[0]]), order, starts)
 
@@ -252,39 +280,65 @@ class MergePlan:
         return (self.points.shape[0] if self.order is None else self.order.shape[0], self.points.shape[1])
 
     def merge(self, weights: np.ndarray) -> np.ndarray:
-        """Weights of ``points``: the (N,) input weights summed over each group."""
+        """Weights of ``points``: the (N,) input weights summed over each group.
+
+        With ``order`` None they are the weights themselves: a read-only
+        float64 array that owns its data is returned as it is, any other is
+        copied and frozen.
+        """
+        w = np.asarray(weights, dtype=float)
         if self.order is None:
-            return _frozen(np.array(weights, dtype=float))
-        return self._reduce(weights.__getitem__)
+            return w if w.flags.owndata and not w.flags.writeable else _frozen(w.copy())
+        return self._reduce(w)
 
     def merge_products(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """``merge`` of the products p_i q_j, flattened over (i, j), for a plan of pairwise sums.
 
         The same products as ``np.outer(p, q)``, formed a block at a time.
         """
+        return self._reduce(p, q)
 
-        def products(at):
-            i = at // q.shape[0]
-            return p[i] * q[at - i * q.shape[0]]  # not at % q.shape[0], a slower integer division
-
-        return self._reduce(products)
-
-    def _reduce(self, values_at) -> np.ndarray:
-        """Sum of each group of the input values, given at input positions by ``values_at``.
+    def _reduce(self, p: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
+        """Sum of each group of the input values: p, or with q the products p_i q_j flattened over (i, j).
 
         Whole groups are gathered and summed (``reduceat``) a block of about
         ``BLOCK`` input positions at a time, so each group's sum is the one
-        over all the input at once.
+        over all the input at once. A block's positions, rows and gathered
+        values go to three buffers made once per call, as long as its longest
+        block (longer than ``BLOCK`` when a group is), and a buffer whose
+        values are used takes the next ones. The positions are intp, which
+        numpy would otherwise make of the int32 order at every gather.
+        Weights of any other length than the plan's input raise ValueError,
+        so every gathered index is in range.
         """
         groups, total = self.starts.shape[0], self.order.shape[0]
+        if p.shape[0] * (1 if q is None else q.shape[0]) != total:
+            raise ValueError("weights must be given at each input point of the plan")
         # the first group to start in each run of BLOCK input positions (in starts' own type: no cast copy)
         cuts = np.searchsorted(self.starts, np.arange(0, total, BLOCK, dtype=self.starts.dtype)).tolist()
+        # each block of whole groups, lo to hi, and the input positions it spans, first to last
+        spans = [(lo, hi, int(self.starts[lo]), int(self.starts[hi]) if hi < groups else total)
+                 for lo, hi in zip(cuts, cuts[1:] + [groups]) if lo < hi]
+        width = max(last - first for _, _, first, last in spans)
+        at_all, row_all = np.empty(width, dtype=np.intp), np.empty(width, dtype=np.intp)
+        values_all = np.empty(width)
         out = np.empty(groups)
-        for lo, hi in zip(cuts, cuts[1:] + [groups]):
-            if lo < hi:
-                first = int(self.starts[lo])
-                last = int(self.starts[hi]) if hi < groups else total
-                out[lo:hi] = np.add.reduceat(values_at(self.order[first:last]), self.starts[lo:hi] - first)
+        for lo, hi, first, last in spans:
+            at, row, values = at_all[:last - first], row_all[:last - first], values_all[:last - first]
+            np.copyto(at, self.order[first:last])
+            if q is None:
+                np.take(p, at, out=values, mode="clip")  # in range: mode "raise" would write to a copy of out
+            else:
+                np.floor_divide(at, q.shape[0], out=row)
+                np.take(p, row, out=values, mode="clip")
+                row *= q.shape[0]
+                at -= row  # the column: not at % q.shape[0], a slower integer division
+                other = row.view(np.float64)  # the rows are used, so their buffer takes q's weights
+                np.take(q, at, out=other, mode="clip")
+                values *= other
+            offsets = at_all[:hi - lo]  # the positions are used too
+            np.subtract(self.starts[lo:hi], first, out=offsets)
+            np.add.reduceat(values, offsets, out=out[lo:hi])
         return _frozen(out)
 
 
@@ -297,7 +351,8 @@ def _canonical_support(points, weights):
     merges without sorting.
     """
     plan = points if isinstance(points, MergePlan) else MergePlan.build(points)
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = np.asarray(weights, dtype=float)
+    w = w if w.ndim == 1 else w.reshape(-1)  # a 1-D array as it is, so that merge can keep a frozen one
     if plan.shape[0] != w.shape[0]:
         raise ValueError("points and weights must have the same length")
     if not np.all(np.isfinite(w)):

@@ -158,7 +158,7 @@ def _count_routes(monkeypatch):
     def counting_cells(a, b):
         cells = sum_cells(a, b)
         if cells is not None:
-            calls["cells"].append(len(cells))
+            calls["cells"].append(len(cells[0]) * len(cells[1]))
         return cells
 
     monkeypatch.setattr(MergePlan, "build", counting_build)
@@ -186,6 +186,12 @@ def test_nef_distribution_support_cap(families, monkeypatch):
     assert calls == {"build": [3, 3], "cells": [9]}
     assert nef_distribution(f, f.theta_grid[2], 2, support_cap=6).size == 6
     assert calls == {"build": [3, 3, 3, 6], "cells": [9, 9]}
+
+
+def _pair_cells(a, b):
+    """The cells of the pair sums a_i + b_j, flattened over (i, j), from the factors' cells; None off the cells."""
+    cells = measures._sum_cells(a, b)
+    return None if cells is None else (cells[0][:, None] + cells[1][None, :]).reshape(-1)
 
 
 def _plans_equal(plan, ref):
@@ -267,7 +273,7 @@ def test_integer_cells_give_the_quantized_plan(factors):
     sums = (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
     assert np.all(np.abs(sums) <= _KEY_MAX)
     grid = math.prod(int(hi - lo) + 1 for lo, hi in zip(sums.min(axis=0), sums.max(axis=0)))
-    cells = measures._sum_cells(a, b)
+    cells = _pair_cells(a, b)
     assert (cells is not None) == (grid < 2**63)
     if cells is not None:
         assert cells.dtype == (np.uint16 if grid <= 65_535 else np.uint32 if grid <= 2**32 else np.int64)
@@ -329,7 +335,7 @@ def test_blocks_change_no_bits(block, dim, lattice, monkeypatch):
     q = np.linspace(1.0, 0.25, b.shape[0]) / 7.0
     ref_keys = quantize(sums)
     ref_plan = _quantized_plan(a, b)
-    cells = measures._sum_cells(a, b)
+    cells = _pair_cells(a, b)
     assert (cells.dtype == np.uint16) if lattice else (cells is None)
     last = np.append(ref_plan.starts[1:], sums.shape[0]) - 1
     assert np.any(ref_plan.starts // block < last // block)  # a group straddles a block edge
@@ -343,6 +349,57 @@ def test_blocks_change_no_bits(block, dim, lattice, monkeypatch):
     assert _plans_equal(plan, ref_plan) and _plans_equal(_quantized_plan(a, b), ref_plan)
     assert plan.merge_products(p, q).tobytes() == ref_merge.tobytes()
     assert plan.merge(np.outer(p, q).reshape(-1)).tobytes() == ref_merge.tobytes()
+
+
+@pytest.mark.parametrize("block", [3, 7])
+@pytest.mark.parametrize(
+    "a, b, long_rows",
+    [
+        # rows of 20 pairs: blocks start inside rows, and a block can lie within one row
+        (np.array([[2.0], [-0.0], [1.0]]), np.arange(-4.0, 16.0).reshape(-1, 1) % 7, True),
+        # all 60 pairs in one group, longer than several blocks: a replay gathers it whole
+        (np.zeros((5, 1)), np.array([[-0.0], [0.0]] * 6), False),
+    ],
+    ids=["rows-longer-than-a-block", "one-group-of-many-blocks"],
+)
+def test_counted_blocks_change_no_bits(a, b, long_rows, block, monkeypatch):
+    # uint16 cells made a block at a time from the factors, and replays into buffers as long as the longest block
+    pairs = a.shape[0] * b.shape[0]
+    p = np.linspace(0.5, 2.0, a.shape[0]) / 3.0
+    q = np.linspace(1.0, 0.25, b.shape[0]) / 7.0
+    ref_plan = _quantized_plan(a, b)
+    ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[ref_plan.order], ref_plan.starts)
+    assert _pair_cells(a, b).dtype == np.uint16
+    longest = np.max(np.diff(np.append(ref_plan.starts, pairs)))
+    assert b.shape[0] > block if long_rows else longest > 3 * block
+
+    monkeypatch.setattr(measures, "BLOCK", block)
+    plan = MergePlan.of_sums(a, b)
+    assert _plans_equal(plan, ref_plan)
+    assert plan.merge_products(p, q).tobytes() == ref_merge.tobytes()
+    assert plan.merge(np.outer(p, q).reshape(-1)).tobytes() == ref_merge.tobytes()
+
+
+def test_a_plan_merges_only_weights_of_its_input_points():
+    plan = MergePlan.of_sums(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0], [2.0]]))
+    for merge in (lambda: plan.merge(np.ones(5)), lambda: plan.merge_products(np.ones(2), np.ones(2))):
+        with pytest.raises(ValueError, match=r"^weights must be given at each input point of the plan$"):
+            merge()
+
+
+def test_a_convolution_keeps_its_merged_weights(families, monkeypatch):
+    # the frozen weights a replay returns become the measure's weights as they are, with no copy
+    merged = []
+    merge_products = MergePlan.merge_products
+
+    def recorded(plan, p, q):
+        merged.append(merge_products(plan, p, q))
+        return merged[-1]
+
+    monkeypatch.setattr(MergePlan, "merge_products", recorded)
+    q1 = nef_base(families["binomial"], 0.0)
+    q2 = convolve(q1, q1)
+    assert len(merged) == 1 and q2.weights is merged[0]
 
 
 @pytest.mark.parametrize("block", [1, 3, 1 << 16])
@@ -370,10 +427,8 @@ def test_q_n_builds_keep_no_pair_sized_temporaries():
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("key, n", [("binomial", 1024), ("categorical", 128)])
-def test_uint16_sum_steps_keep_no_int64_index_per_pair(key, n, monkeypatch):
-    # the high-n lattice ladders' sum steps of 2^20 pairs and more (up to 4.6M) sort uint16 cells: an int64
-    # index per pair (8 bytes) must not be made; the cells and the int32 order take 6
+def _sum_step_costs(key, n, monkeypatch):
+    """Peak bytes per pair above what was live before it, of each sum step of a cold Q_n build, by its pairs."""
     f = make_family(key)  # a new family object: every plan is built cold
     per_pair = {}
     sum_plan = derived._sum_plan
@@ -392,8 +447,24 @@ def test_uint16_sum_steps_keep_no_int64_index_per_pair(key, n, monkeypatch):
         nef_distribution(f, f.theta_grid[1], n)
     finally:
         tracemalloc.stop()
-    large = {pairs: cost for pairs, cost in per_pair.items() if pairs >= 2**20}
-    assert max(per_pair) > 4_000_000 and all(cost < 8.0 for cost in large.values()), large
+    assert max(per_pair) > 4_000_000
+    return {pairs: cost for pairs, cost in per_pair.items() if pairs >= 2**20}
+
+
+@pytest.mark.parametrize("key, n", [("binomial", 1024), ("categorical", 128)])
+def test_uint16_sum_steps_keep_no_int64_index_per_pair(key, n, monkeypatch):
+    # the high-n lattice ladders' sum steps of 2^20 pairs and more (up to 4.6M) sort uint16 cells: an int64
+    # index per pair (8 bytes) must not be made
+    large = _sum_step_costs(key, n, monkeypatch)
+    assert all(cost < 8.0 for cost in large.values()), large
+
+
+@pytest.mark.parametrize("key, n", [("binomial", 1024), ("categorical", 128)])
+def test_uint16_sum_steps_keep_only_their_int32_order(key, n, monkeypatch):
+    # the same steps make the pairs' cells a block at a time: beside the int32 order (4 bytes per pair) they
+    # keep only block-sized buffers and the per-cell counts, under 1 byte per pair on binomial's 1.05M-pair step
+    large = _sum_step_costs(key, n, monkeypatch)
+    assert all(cost < 5.0 for cost in large.values()), large
 
 
 @pytest.mark.parametrize(
@@ -409,7 +480,7 @@ def test_uint16_sum_steps_keep_no_int64_index_per_pair(key, n, monkeypatch):
 def test_integer_cells_take_the_narrowest_type_and_never_wrap(top, dtype):
     a = np.array([[0.0] * len(top), top])
     b = np.array([[0.0] * len(top), [-0.0] * len(top)])
-    cells = measures._sum_cells(a, b)
+    cells = _pair_cells(a, b)
     grid = math.prod(int(t) + 1 for t in top)
     assert cells.dtype == dtype
     assert int(cells.min()) == 0 and int(cells.max()) == grid - 1
@@ -427,7 +498,7 @@ def test_uint16_cells_sort_by_counting_in_blocks(top, counted, monkeypatch):
     a = np.array([[0.0] * len(top), [1.0] * len(top), [2.0] * len(top), [1.0] * len(top), top])
     b = np.array([[v] * len(top) for v in (0.0, -0.0, 1.0, 0.0, 1.0, 0.0)])
     ref = _quantized_plan(a, b)
-    assert (measures._sum_cells(a, b).dtype == np.uint16) == counted
+    assert (_pair_cells(a, b).dtype == np.uint16) == counted
     sizes = {"argsort": [], "sort": []}
 
     def spy(name):

@@ -373,6 +373,22 @@ def test_measures_are_immutable():
         m.weights[0] = 7.0
 
 
+def test_a_measure_on_a_canonical_support_keeps_frozen_weights_and_copies_others():
+    plan = FiniteMeasure([[0.0], [1.0], [2.0]], [0.25, 0.5, 0.25]).support
+    frozen = np.array([0.25, 0.5, 0.25])
+    frozen.setflags(write=False)
+    writable = frozen.copy()
+    view = writable[:]  # read-only, but its data belongs to a writable array
+    view.setflags(write=False)
+    assert np.shares_memory(plan.merge(frozen), frozen)
+    assert np.shares_memory(FiniteMeasure(plan, frozen).weights, frozen)
+    for weights in (writable, view, [0.25, 0.5, 0.25]):
+        kept = plan.merge(weights)
+        assert not np.shares_memory(kept, writable) and not kept.flags.writeable
+        assert not np.shares_memory(FiniteMeasure(plan, weights).weights, writable)
+        assert kept.tolist() == [0.25, 0.5, 0.25]
+
+
 def test_almost_equal_distinguishes_support():
     p = FiniteMeasure([[0.0], [1.0]], [0.5, 0.5])
     q = FiniteMeasure([[0.0], [2.0]], [0.5, 0.5])
