@@ -17,10 +17,14 @@ build step: each sum ``Q_1^{*a} * Q_1^{*b}`` and each 1/n rescale is sorted
 once, at the first theta, and every other theta only sums its weights
 through the plan, forming the products of the two factors' weights a
 block at a time (``MergePlan.merge_products``), never a weight per pair.
-For the most recent theta it keeps every sum ``Q_1^{*m}`` and every
-finished ``Q_n``. A request for another family or cap drops the store, and
+A 1/n rescale of 1-D points keeps them in order, so its plan holds no
+sort order (``MergePlan.build``). For the most recent theta the store keeps
+every finished ``Q_n`` and the sums ``Q_1^{*m}`` of m a power of two, which
+every doubling needs. Any other sum is dropped once its ``Q_n`` is made; a
+later build that needs it forms it again by replaying its plan, with no
+sort. A request for another family or cap drops the store, and
 one at another theta its sums and means, before anything is built (the
-plans of a quadrature ``Q_3`` take 55 MB with int32 indices, 22 MB of it
+plans of a quadrature ``Q_3`` take 49 MB with int32 indices, 22 MB of it
 point arrays that the measures built on them share). ``Q_1^{*m}``
 is always composed from the low bits of m up, in the order of a cold
 binary-exponentiation build, and a plan replays the float work of the sort
@@ -117,7 +121,8 @@ def _sum_plan(a: np.ndarray, b: np.ndarray, support_cap: int) -> MergePlan:
 
 def _convolved(plan: MergePlan, p: FiniteMeasure, q: FiniteMeasure) -> FiniteMeasure:
     """p convolved with q through the merge plan of their point sums."""
-    return FiniteMeasure(MergePlan(plan.points, None, None), plan.merge_products(p.weights, q.weights))
+    canonical = MergePlan(plan.points, None, None, plan.points.shape[:1])
+    return FiniteMeasure(canonical, plan.merge_products(p.weights, q.weights))
 
 
 def convolve(p: FiniteMeasure, q: FiniteMeasure, support_cap: int = SUPPORT_CAP) -> FiniteMeasure:
@@ -131,14 +136,14 @@ def nef_base(family: ExpFamily, theta) -> FiniteMeasure:
 
 
 class _QnStore:
-    """Q_n builds of one (family, support cap): merge plans for every theta, sums and means for one."""
+    """Q_n builds of one (family, support cap): merge plans for every theta, power-of-two sums and means for one."""
 
     def __init__(self, family: ExpFamily, support_cap: int):
         self.family = family
         self.support_cap = support_cap
         self.plans = {}  # (a, b): the sum of Q_1^{*a} and Q_1^{*b}; n: the 1/n rescale
         self.theta_key = None  # the theta that sums and means belong to
-        self.sums = {}  # m: Q_1^{*m} in the sum chart
+        self.sums = {}  # m, a power of two: Q_1^{*m} in the sum chart
         self.means = {}  # n: the finished Q_n
 
     def _sum(self, m: int) -> FiniteMeasure:
@@ -151,7 +156,9 @@ class _QnStore:
             plan = self.plans.get((a, b))
             if plan is None:
                 plan = self.plans[(a, b)] = _sum_plan(p.points, q.points, self.support_cap)
-            total = self.sums[m] = _convolved(plan, p, q)
+            total = _convolved(plan, p, q)
+            if m == top:  # every doubling needs it; any other sum is formed again by replay if needed again
+                self.sums[m] = total
         return total
 
     def mean(self, n: int) -> FiniteMeasure:
@@ -194,10 +201,11 @@ def nef_distribution(family: ExpFamily, theta, n: int, support_cap: int = SUPPOR
 
 
 def _tangent_weights(qn: FiniteMeasure, tau: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
-    """n (a . (y - tau)) w_y per point y of Q_n, multiplied in place."""
+    """n (a . (y - tau)) w_y per point y of Q_n, multiplied in place and frozen."""
     weights = (qn.points - tau) @ a
     weights *= n
     weights *= qn.weights
+    weights.setflags(write=False)  # so the measure built on them keeps them without a copy
     return weights
 
 

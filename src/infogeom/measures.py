@@ -23,13 +23,19 @@ are uint16 and take a stable counting sort (``_counted_groups``) that makes
 them a block at a time from the factors' cells and writes the int32 order
 directly: a stable sort lists the cells by (cell, input position) whichever
 way it runs, so the order is the one ``argsort`` gives, and neither an
-array of the pairs' cells nor an int64 index per pair is made.
+array of the pairs' cells nor an int64 index per pair is made. (N, 1)
+points that never decrease are not sorted at all: quantization is
+monotone, so their keys never decrease either, and a stable sort of them is
+the identity. ``MergePlan.build`` then keeps no ``order``, and a merge sums
+the weights where they lie. Every 1/n rescale of a canonical 1-D support
+and every push-forward of one by an increasing affine map is such a list.
 
 Canonicalization works in blocks of ``BLOCK`` points: ``quantize``, the key
 comparisons that find where groups start, the counting sort of uint16
 cells, the quantized keys of pairwise sums (one block of rows of the first
-factor at a time) and the merges of a plan (whole groups gathered and
-summed together; the weight products of a sum step formed per block). Only
+factor at a time) and the merges of a plan (whole groups gathered, or
+sliced where they lie, and summed together; the weight products of a sum
+step formed per block). Only
 elementwise work, integer counts, ``reduceat`` over whole groups and
 ``max`` are split, because each gives the same bits in blocks. ``np.sum``
 and float ``cumsum`` keep their whole operand arrays, because their
@@ -91,11 +97,25 @@ def integer_keyed(points) -> bool:
     return bool(np.all(np.abs(x) < 10.0**SIGNIFICANT_DIGITS) and np.all(x == np.trunc(x)))
 
 
-def _fresh(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """True at each position of ``order`` where a new (N,) or (N, m) key starts, compared one block at a time."""
-    fresh = np.ones(order.shape[0], dtype=bool)
-    for start in range(1, order.shape[0], BLOCK):
-        k = keys[order[start - 1:start + BLOCK]]
+def _index_type(count: int):
+    """int32 for positions among fewer than 2**31 points, else intp."""
+    return np.int32 if count < 2**31 else np.intp
+
+
+def _nondecreasing(x: np.ndarray) -> bool:
+    """True when the (N,) values never decrease, compared one block at a time up to the first decrease."""
+    for start in range(1, x.shape[0], BLOCK):
+        k = x[start - 1:start + BLOCK]
+        if not np.all(k[1:] >= k[:-1]):
+            return False
+    return True
+
+
+def _fresh(keys: np.ndarray, order: Optional[np.ndarray]) -> np.ndarray:
+    """True where a new (N,) or (N, m) key starts in ``order`` (None: the keys' own), compared a block at a time."""
+    fresh = np.ones(keys.shape[0], dtype=bool)
+    for start in range(1, keys.shape[0], BLOCK):
+        k = keys[start - 1:start + BLOCK] if order is None else keys[order[start - 1:start + BLOCK]]
         change = k[1:] != k[:-1]
         fresh[start:start + BLOCK] = change if change.ndim == 1 else np.any(change, axis=1)
     return fresh
@@ -150,7 +170,7 @@ def _groups(make_keys):
     int32 (below 2**31 keys), and the int64 order right after.
     """
     keys = make_keys()
-    index = np.int32 if keys.shape[0] < 2**31 else np.intp
+    index = _index_type(keys.shape[0])
     order = np.argsort(keys, kind="stable") if keys.ndim == 1 else np.lexsort(keys.T[::-1])
     fresh = _fresh(keys, order)
     del keys
@@ -173,7 +193,7 @@ def _counted_groups(ca: np.ndarray, cb: np.ndarray):
     holds a buffer, a block's sorted keys and per-cell counts.
     """
     nb, total = cb.shape[0], ca.shape[0] * cb.shape[0]
-    index = np.int32 if total < 2**31 else np.intp
+    index = _index_type(total)
     size = int(ca.max()) + int(cb.max()) + 1
     width = min(BLOCK, total)
     rows = min(ca.shape[0], width // nb + 2) * nb  # pairs in the rows of ca that a block spans, at most
@@ -230,18 +250,22 @@ class MergePlan:
     keys (``of_sums`` gives the plan of pairwise sums, from integer cells when it can):
     ``points`` is the canonical support (the first point of each key group,
     in key order), ``order`` the sort of the input and ``starts`` where each
-    group begins in it (int32 below 2**31 input points). ``merge(weights)``
-    sums weights given in input order over those groups: the float work of
-    a fresh canonicalization, in the same order, so a measure built from a
-    plan is bitwise identical to one built from the points. A plan with
-    ``order`` None keeps points that are canonical already; ``support`` of a
-    measure gives one. Pass a plan as the ``points`` of a measure to build it
-    without sorting.
+    group begins in it (int32 below 2**31 input points). ``inputs`` is the
+    shape of the weights the plan merges: (N,), or (len(a), len(b)) for the
+    pairwise sums of a and b. ``merge(weights)`` sums weights given in input
+    order over those groups: the float work of a fresh canonicalization, in
+    the same order, so a measure built from a plan is bitwise identical to
+    one built from the points. (N, 1) points that never decrease are in key
+    order already: their plan keeps ``order`` None and merges the weights
+    where they lie. A plan with ``starts`` None too keeps points that are
+    canonical already; ``support`` of a measure gives one. Pass a plan as the
+    ``points`` of a measure to build it without sorting.
     """
 
     points: np.ndarray
     order: Optional[np.ndarray]
     starts: Optional[np.ndarray]
+    inputs: tuple
 
     @classmethod
     def build(cls, points) -> "MergePlan":
@@ -254,8 +278,11 @@ class MergePlan:
             raise ValueError("a measure needs at least one support point")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points and weights must be finite")
+        if pts.shape[1] == 1 and _nondecreasing(pts[:, 0]):
+            starts = _frozen(np.flatnonzero(_fresh(quantize(pts[:, 0]), None)).astype(_index_type(pts.shape[0])))
+            return cls(_frozen(pts[starts]), None, starts, pts.shape[:1])
         order, starts = _groups(lambda: quantize(pts))
-        return cls(_frozen(pts[order[starts]]), order, starts)
+        return cls(_frozen(pts[order[starts]]), order, starts, pts.shape[:1])
 
     @classmethod
     def of_sums(cls, a: np.ndarray, b: np.ndarray) -> "MergePlan":
@@ -272,27 +299,28 @@ class MergePlan:
         else:  # the wider cells of every pair at once, or the quantized keys
             order, starts = _groups(lambda: np.add.outer(*cells).ravel() if cells else _quantized_sum_keys(a, b))
         first = order[starts]
-        return cls(_frozen(a[first // b.shape[0]] + b[first % b.shape[0]]), order, starts)
+        points = a[first // b.shape[0]] + b[first % b.shape[0]]
+        return cls(_frozen(points), order, starts, (a.shape[0], b.shape[0]))
 
     @property
     def shape(self) -> tuple:
         """Shape of the points the plan merges, (N, m)."""
-        return (self.points.shape[0] if self.order is None else self.order.shape[0], self.points.shape[1])
+        return (math.prod(self.inputs), self.points.shape[1])
 
     def merge(self, weights: np.ndarray) -> np.ndarray:
         """Weights of ``points``: the (N,) input weights summed over each group.
 
-        With ``order`` None they are the weights themselves: a read-only
+        With ``starts`` None they are the weights themselves: a read-only
         float64 array that owns its data is returned as it is, any other is
         copied and frozen.
         """
         w = np.asarray(weights, dtype=float)
-        if self.order is None:
+        if self.starts is None:
             return w if w.flags.owndata and not w.flags.writeable else _frozen(w.copy())
         return self._reduce(w)
 
     def merge_products(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """``merge`` of the products p_i q_j, flattened over (i, j), for a plan of pairwise sums.
+        """``merge`` of the products p_i q_j, flattened over (i, j), for the plan ``of_sums`` of their points.
 
         The same products as ``np.outer(p, q)``, formed a block at a time.
         """
@@ -301,42 +329,49 @@ class MergePlan:
     def _reduce(self, p: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
         """Sum of each group of the input values: p, or with q the products p_i q_j flattened over (i, j).
 
-        Whole groups are gathered and summed (``reduceat``) a block of about
-        ``BLOCK`` input positions at a time, so each group's sum is the one
-        over all the input at once. A block's positions, rows and gathered
-        values go to three buffers made once per call, as long as its longest
-        block (longer than ``BLOCK`` when a group is), and a buffer whose
-        values are used takes the next ones. The positions are intp, which
-        numpy would otherwise make of the int32 order at every gather.
-        Weights of any other length than the plan's input raise ValueError,
-        so every gathered index is in range.
+        Whole groups are summed (``reduceat``) a block of about ``BLOCK``
+        input positions at a time, so each group's sum is the one over all
+        the input at once. With ``order`` None a block is a slice of p;
+        otherwise its values are gathered. A block's positions, rows and
+        gathered values go to three buffers made once per call, as long as
+        its longest block (longer than ``BLOCK`` when a group is), and a
+        buffer whose values are used takes the next ones. The positions are
+        intp, which numpy would otherwise make of the int32 order at every
+        gather. Weights of any other length than the plan's input, and
+        factors of any other lengths than its own, raise ValueError, so every
+        gathered index is in range.
         """
-        groups, total = self.starts.shape[0], self.order.shape[0]
-        if p.shape[0] * (1 if q is None else q.shape[0]) != total:
+        lengths = p.shape[:1] if q is None else (p.shape[0], q.shape[0])
+        if lengths not in (self.inputs, self.shape[:1]):
             raise ValueError("weights must be given at each input point of the plan")
+        groups, total = self.starts.shape[0], self.shape[0]
         # the first group to start in each run of BLOCK input positions (in starts' own type: no cast copy)
         cuts = np.searchsorted(self.starts, np.arange(0, total, BLOCK, dtype=self.starts.dtype)).tolist()
         # each block of whole groups, lo to hi, and the input positions it spans, first to last
         spans = [(lo, hi, int(self.starts[lo]), int(self.starts[hi]) if hi < groups else total)
                  for lo, hi in zip(cuts, cuts[1:] + [groups]) if lo < hi]
         width = max(last - first for _, _, first, last in spans)
-        at_all, row_all = np.empty(width, dtype=np.intp), np.empty(width, dtype=np.intp)
-        values_all = np.empty(width)
+        at_all = np.empty(width, dtype=np.intp)
+        if self.order is not None:
+            row_all, values_all = np.empty(width, dtype=np.intp), np.empty(width)
         out = np.empty(groups)
         for lo, hi, first, last in spans:
-            at, row, values = at_all[:last - first], row_all[:last - first], values_all[:last - first]
-            np.copyto(at, self.order[first:last])
-            if q is None:
-                np.take(p, at, out=values, mode="clip")  # in range: mode "raise" would write to a copy of out
+            if self.order is None:
+                values = p[first:last]
             else:
-                np.floor_divide(at, q.shape[0], out=row)
-                np.take(p, row, out=values, mode="clip")
-                row *= q.shape[0]
-                at -= row  # the column: not at % q.shape[0], a slower integer division
-                other = row.view(np.float64)  # the rows are used, so their buffer takes q's weights
-                np.take(q, at, out=other, mode="clip")
-                values *= other
-            offsets = at_all[:hi - lo]  # the positions are used too
+                at, row, values = at_all[:last - first], row_all[:last - first], values_all[:last - first]
+                np.copyto(at, self.order[first:last])
+                if q is None:
+                    np.take(p, at, out=values, mode="clip")  # in range: mode "raise" would write to a copy of out
+                else:
+                    np.floor_divide(at, q.shape[0], out=row)
+                    np.take(p, row, out=values, mode="clip")
+                    row *= q.shape[0]
+                    at -= row  # the column: not at % q.shape[0], a slower integer division
+                    other = row.view(np.float64)  # the rows are used, so their buffer takes q's weights
+                    np.take(q, at, out=other, mode="clip")
+                    values *= other
+            offsets = at_all[:hi - lo]  # the positions, if any, are used too
             np.subtract(self.starts[lo:hi], first, out=offsets)
             np.add.reduceat(values, offsets, out=out[lo:hi])
         return _frozen(out)
@@ -391,7 +426,7 @@ class SignedFiniteMeasure:
     @property
     def support(self) -> MergePlan:
         """Plan of this (canonical) support: a measure built on it shares ``points`` and skips the sort."""
-        return MergePlan(self.points, None, None)
+        return MergePlan(self.points, None, None, self.points.shape[:1])
 
 
 @dataclass(frozen=True, eq=False)

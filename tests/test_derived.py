@@ -4,11 +4,12 @@ import threading
 import tracemalloc
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import infogeom.derived as derived
@@ -194,13 +195,19 @@ def _pair_cells(a, b):
     return None if cells is None else (cells[0][:, None] + cells[1][None, :]).reshape(-1)
 
 
+def _effective_order(plan):
+    """The plan's order; for a plan that keeps none (its input is in key order already) the identity."""
+    return np.arange(plan.shape[0], dtype=plan.starts.dtype) if plan.order is None else plan.order
+
+
 def _plans_equal(plan, ref):
-    """Bitwise equality of two merge plans, -0.0 told apart from 0.0."""
+    """Bitwise equality of two merge plans, -0.0 told apart from 0.0, and of their effective orders."""
     return (
         plan.points.tobytes() == ref.points.tobytes()
         and plan.points.shape == ref.points.shape
-        and plan.order.dtype == ref.order.dtype
-        and np.array_equal(plan.order, ref.order)
+        and plan.shape == ref.shape
+        and _effective_order(plan).dtype == _effective_order(ref).dtype
+        and np.array_equal(_effective_order(plan), _effective_order(ref))
         and plan.starts.dtype == ref.starts.dtype
         and np.array_equal(plan.starts, ref.starts)
     )
@@ -341,7 +348,7 @@ def test_blocks_change_no_bits(block, dim, lattice, monkeypatch):
     assert np.any(ref_plan.starts // block < last // block)  # a group straddles a block edge
     negative_zero = (ref_plan.points == 0.0) & np.signbit(ref_plan.points)
     assert np.any(negative_zero) and not np.any((ref_keys == 0.0) & np.signbit(ref_keys))  # -0.0 sums, +0.0 keys
-    ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[ref_plan.order], ref_plan.starts)
+    ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[_effective_order(ref_plan)], ref_plan.starts)
 
     monkeypatch.setattr(measures, "BLOCK", block)
     assert quantize(sums).tobytes() == ref_keys.tobytes()
@@ -368,7 +375,7 @@ def test_counted_blocks_change_no_bits(a, b, long_rows, block, monkeypatch):
     p = np.linspace(0.5, 2.0, a.shape[0]) / 3.0
     q = np.linspace(1.0, 0.25, b.shape[0]) / 7.0
     ref_plan = _quantized_plan(a, b)
-    ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[ref_plan.order], ref_plan.starts)
+    ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[_effective_order(ref_plan)], ref_plan.starts)
     assert _pair_cells(a, b).dtype == np.uint16
     longest = np.max(np.diff(np.append(ref_plan.starts, pairs)))
     assert b.shape[0] > block if long_rows else longest > 3 * block
@@ -382,9 +389,62 @@ def test_counted_blocks_change_no_bits(a, b, long_rows, block, monkeypatch):
 
 def test_a_plan_merges_only_weights_of_its_input_points():
     plan = MergePlan.of_sums(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0], [2.0]]))
-    for merge in (lambda: plan.merge(np.ones(5)), lambda: plan.merge_products(np.ones(2), np.ones(2))):
+    for merge in (
+        lambda: plan.merge(np.ones(5)),
+        lambda: plan.merge_products(np.ones(2), np.ones(2)),
+        lambda: plan.merge_products(np.ones(3), np.ones(2)),  # 6 products, but of factors in swapped lengths
+    ):
         with pytest.raises(ValueError, match=r"^weights must be given at each input point of the plan$"):
             merge()
+
+
+# values a few ulps either side of these are 12-digit keys apart
+_ROUNDING_EDGES = (1.000000000005, -2.000000000005e-7, 123456.7890125)
+
+
+def _ulps(x, k):
+    """x moved k ulps up (k < 0: down)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+@st.composite
+def _nondecreasing_values(draw):
+    """Nondecreasing (N,) values: runs of equal values, values ulps apart across a rounding edge, -0.0 by 0.0."""
+    anchors = st.sampled_from((-0.0, 0.0, 0.25, -3.0) + _ROUNDING_EDGES)
+    runs = draw(st.lists(st.tuples(anchors, st.integers(-3, 3), st.integers(1, 4)), min_size=1, max_size=30))
+    return np.array(sorted(_ulps(x, k) for x, k, run in runs for _ in range(run)))  # stable: -0.0, 0.0 stay
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nondecreasing_values(), st.sampled_from([1, 2, 3, 7, 1 << 16]))
+@example(np.array([-0.0, 0.0, -0.0] + [_ulps(_ROUNDING_EDGES[0], k) for k in (-2, -1, -1, 1, 2, 2)]), 2)
+def test_nondecreasing_1d_points_keep_no_order(values, block):
+    # the identity-order plan against the sort of the same quantized keys, in blocks of `block` points
+    points = values.reshape(-1, 1)
+    order, starts = measures._groups(lambda: quantize(points))
+    ref = MergePlan(points[order[starts]], order, starts, points.shape[:1])
+    weights = np.linspace(-1.0, 2.0, points.shape[0]) / 7.0
+    ref_merge = np.add.reduceat(weights[order], starts)
+    with mock.patch.object(measures, "BLOCK", block):
+        plan = MergePlan.build(values)
+        merged, strided = plan.merge(weights), plan.merge(np.repeat(weights, 2)[::2])
+    assert plan.order is None and _plans_equal(plan, ref)
+    assert merged.tobytes() == ref_merge.tobytes() and strided.tobytes() == ref_merge.tobytes()
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[[3.0], [2.0], [2.0], [-0.0], [0.0]], [[0.0], [2.0], [1.0], [2.0]], [[0.0, 1.0], [1.0, 2.0], [1.0, 2.0]]],
+    ids=["decreasing", "unsorted", "two-columns"],
+)
+def test_other_points_take_the_sort_route(points):
+    pts = np.array(points)
+    order, starts = measures._groups(lambda: quantize(pts))
+    plan = MergePlan.build(pts)
+    assert plan.order is not None  # also for two sorted columns: only (N, 1) points keep no order
+    assert _plans_equal(plan, MergePlan(pts[order[starts]], order, starts, pts.shape[:1]))
 
 
 def test_a_convolution_keeps_its_merged_weights(families, monkeypatch):
@@ -529,20 +589,27 @@ def _cold(family, theta, n):
 
 
 @pytest.mark.parametrize("key", ["gauss_known_var", "bernoulli"])
-def test_nef_distribution_reuse_is_bitwise_cold(families, key, monkeypatch):
-    f = families[key]
+def test_nef_distribution_reuse_is_bitwise_cold(key, monkeypatch):
+    f = make_family(key)  # a new family object: the store starts with no plan of it
     theta = f.theta_grid[2]
     order = (5, 1, 8, 3, 7, 11, 2, 4) if key == "bernoulli" else (3, 1, 2)
-    summands = []
+    used = []  # the plan of every sum formed, first or again
     original = derived._convolved
-    monkeypatch.setattr(derived, "_convolved", lambda plan, p, q: summands.append(p) or original(plan, p, q))
-    warm = {n: nef_distribution(f, theta, n) for n in order}
+    monkeypatch.setattr(derived, "_convolved", lambda plan, p, q: used.append(plan) or original(plan, p, q))
+    warm, added, seen = {}, {}, set()
+    for n in order:
+        warm[n] = nef_distribution(f, theta, n)
+        added[n], seen = set(derived._store.plans) - seen, set(derived._store.plans)
     assert all(nef_distribution(f, theta, n) is warm[n] for n in order)
     for n in order:
         assert _bitwise_equal(warm[n], _cold(f, theta, n))
-    # Q_7 = Q_1^{*3} + Q_1^{*4} and Q_11 = Q_1^{*3} + Q_1^{*8} both reuse the Q_1^{*3} built for n = 3
-    three = derived._store.sums[3]
-    assert sum(p is three for p in summands) == (2 if key == "bernoulli" else 0)
+    # only power-of-two sums are kept: Q_7 = Q_1^{*3} + Q_1^{*4} and Q_11 = Q_1^{*3} + Q_1^{*8} form the
+    # Q_1^{*3} of n = 3 again by replaying its plan, with no new plan for it
+    store = derived._store
+    assert sorted(store.sums) == ([1, 2, 4, 8] if key == "bernoulli" else [1, 2])
+    assert sum(plan is store.plans[(1, 2)] for plan in used) == (3 if key == "bernoulli" else 1)
+    if key == "bernoulli":
+        assert added[7] == {(3, 4), 7} and added[11] == {(3, 8), 11}
 
 
 def test_nef_distribution_separates_family_objects():
@@ -619,6 +686,7 @@ def test_replayed_q_n_is_bitwise_cold(key, n):
     replayed = [nef_distribution(f, theta, n) for theta in f.theta_grid]
     assert derived._store.family is f
     plans = dict(derived._store.plans)
+    assert (plans[n].order is None) == (f.order == 1)  # a 1/n rescale of 1-D points keeps them in order
     for theta, qn in zip(f.theta_grid, replayed):
         assert _bitwise_equal(qn, _cold(f, theta, n))
     assert all(derived._store.plans[step] is plan for step, plan in plans.items())
@@ -642,6 +710,15 @@ def test_merge_plans_keep_one_family(families):
     assert ref() is derived._store.plans[(1, 1)]
     nef_distribution(g, g.theta_grid[1], 8)
     assert ref() is None
+
+
+def test_a_tangent_keeps_the_weights_it_made(families, monkeypatch):
+    made = []
+    original = derived._tangent_weights
+    monkeypatch.setattr(derived, "_tangent_weights", lambda *args: made.append(original(*args)) or made[-1])
+    f = families["poisson_trunc"]
+    pair = nef_tangent(f, TangentCoord(f.theta_grid[1], [1.0]), 4)
+    assert len(made) == 1 and pair.direction.weights is made[0]
 
 
 def test_directions_share_the_q_n_support(families, monkeypatch):
