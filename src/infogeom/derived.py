@@ -20,28 +20,34 @@ block at a time (``MergePlan.merge_products``), never a weight per pair.
 A 1/n rescale of 1-D points keeps them in order, so its plan holds no
 sort order (``MergePlan.build``). For the most recent theta the store keeps
 every finished ``Q_n`` and the sums ``Q_1^{*m}`` of m a power of two, which
-every doubling needs. Any other sum is dropped once its ``Q_n`` is made; a
-later build that needs it forms it again by replaying its plan, with no
-sort. A request for another family or cap drops the store, and
-one at another theta its sums and means, before anything is built (the
-plans of a quadrature ``Q_3`` take 49 MB with int32 indices, 22 MB of it
-point arrays that the measures built on them share). ``Q_1^{*m}``
-is always composed from the low bits of m up, in the order of a cold
-binary-exponentiation build, and a plan replays the float work of the sort
-it recorded, so a reused or replayed result is bitwise identical to a fresh
-one; measures are immutable, so the function stays observably pure.
+every doubling needs, as measures whose plans keep their points. Any other
+sum is never a measure: its weights are replayed through its plan wherever
+they are needed, and checked as a measure checks its own. Once its ``Q_n``
+has its 1/n plan, that sum's plan drops its canonical points, which only a
+later cold plan of a sum with it as a factor reads (n = 7 = 3 + 4 after
+n = 3); that one makes them again from the factors' points as
+``MergePlan.of_sums`` made them (``MergePlan.sum_points``), bit for bit. A
+request for another family or cap drops the store, and one at another theta
+its sums and means, before anything is built (the plans of a quadrature
+``Q_3`` take 38 MB with int32 indices, 11 MB of it point arrays that the
+measures built on them share; 49 MB while the sum plan kept its 10.8 MB of
+points). ``Q_1^{*m}`` is always composed from the low bits of m up, in the
+order of a cold binary-exponentiation build, and a plan replays the float
+work of the sort it recorded, so a reused or replayed result is bitwise
+identical to a fresh one; measures are immutable, so the function stays
+observably pure.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import RankError, SupportBlowupError
 from .expfam import RANK_EPS, ExpFamily, TangentCoord, cov_statistic, density_weights, mean_statistic
-from .measures import FiniteMeasure, MergePlan, SignedFiniteMeasure, TangentPair
+from .measures import FiniteMeasure, MergePlan, SignedFiniteMeasure, TangentPair, checked_weights
 
 SUPPORT_CAP = 2_000_000
 
@@ -119,20 +125,26 @@ def _sum_plan(a: np.ndarray, b: np.ndarray, support_cap: int) -> MergePlan:
     return plan
 
 
-def _convolved(plan: MergePlan, p: FiniteMeasure, q: FiniteMeasure) -> FiniteMeasure:
-    """p convolved with q through the merge plan of their point sums."""
+def _convolved(plan: MergePlan, p: np.ndarray, q: np.ndarray) -> FiniteMeasure:
+    """The convolution of measures with weights p and q, through the merge plan of their point sums."""
     canonical = MergePlan(plan.points, None, None, plan.points.shape[:1])
-    return FiniteMeasure(canonical, plan.merge_products(p.weights, q.weights))
+    return FiniteMeasure(canonical, plan.merge_products(p, q))
 
 
 def convolve(p: FiniteMeasure, q: FiniteMeasure, support_cap: int = SUPPORT_CAP) -> FiniteMeasure:
     """Distribution of the sum of independent draws from p and q (exact)."""
-    return _convolved(_sum_plan(p.points, q.points, support_cap), p, q)
+    return _convolved(_sum_plan(p.points, q.points, support_cap), p.weights, q.weights)
 
 
 def nef_base(family: ExpFamily, theta) -> FiniteMeasure:
     """Q_1, the push-forward of P_theta under the statistic."""
     return FiniteMeasure(family.stat_values, density_weights(family, theta))
+
+
+def _steps(m: int) -> tuple:
+    """Factors (a, b) of Q_1^{*m}: a doubling 2^j = 2^(j-1) + 2^(j-1), else m's low bits plus its top bit 2^j."""
+    top = 1 << (m.bit_length() - 1)
+    return (top // 2, top // 2) if m == top else (m - top, top)
 
 
 class _QnStore:
@@ -146,30 +158,41 @@ class _QnStore:
         self.sums = {}  # m, a power of two: Q_1^{*m} in the sum chart
         self.means = {}  # n: the finished Q_n
 
-    def _sum(self, m: int) -> FiniteMeasure:
-        """Q_1^{*m}: a doubling 2^j = 2^(j-1) + 2^(j-1), else m's low bits plus its top bit 2^j."""
+    def _weights(self, m: int) -> np.ndarray:
+        """Weights of Q_1^{*m}: a kept sum's, else replayed through its plan (made at the first theta)."""
         total = self.sums.get(m)
-        if total is None:
-            top = 1 << (m.bit_length() - 1)
-            a, b = (top // 2, top // 2) if m == top else (m - top, top)
-            p, q = self._sum(a), self._sum(b)
-            plan = self.plans.get((a, b))
-            if plan is None:
-                plan = self.plans[(a, b)] = _sum_plan(p.points, q.points, self.support_cap)
-            total = _convolved(plan, p, q)
-            if m == top:  # every doubling needs it; any other sum is formed again by replay if needed again
-                self.sums[m] = total
-        return total
+        if total is not None:
+            return total.weights
+        a, b = _steps(m)
+        p, q = self._weights(a), self._weights(b)
+        plan = self.plans.get((a, b))
+        if plan is None:
+            plan = self.plans[(a, b)] = _sum_plan(self._points(a), self._points(b), self.support_cap)
+        if a != b:  # not kept, so not a measure: its plan may keep no points
+            return checked_weights(plan.merge_products(p, q))
+        self.sums[m] = _convolved(plan, p, q)  # every doubling needs it
+        return self.sums[m].weights
+
+    def _points(self, m: int) -> np.ndarray:
+        """Canonical points of Q_1^{*m}, once planned: its plan's, or made again from its factors' points."""
+        if m == 1:
+            return self.sums[1].points
+        a, b = _steps(m)
+        plan = self.plans[(a, b)]
+        return plan.sum_points(self._points(a), self._points(b)) if plan.points is None else plan.points
 
     def mean(self, n: int) -> FiniteMeasure:
         """Q_n: the sum of n draws rescaled by 1/n."""
         qn = self.means.get(n)
         if qn is None:
-            total = self._sum(n)
+            weights = self._weights(n)
             plan = self.plans.get(n)
             if plan is None:
-                plan = self.plans[n] = MergePlan.build(total.points / n)
-            qn = self.means[n] = FiniteMeasure(plan, total.weights)
+                plan = self.plans[n] = MergePlan.build(self._points(n) / n)
+                a, b = _steps(n)
+                if a != b:  # a sum not kept: only a later cold plan reads its points, and makes them again
+                    self.plans[(a, b)] = replace(self.plans[(a, b)], points=None)
+            qn = self.means[n] = FiniteMeasure(plan, weights)
         return qn
 
 

@@ -43,16 +43,17 @@ rounding depends on the whole array; a matmul keeps its shape, because a
 different shape can round differently. So the (pairs, m) array of the sums
 and a weight per pair are never made: of the arrays as long as the list of
 pairs, the plan's ``order`` stays, and only the sort keys of the ``argsort``
-and ``lexsort`` routes exist for a while. The counting sort and the merges
-keep a block's temporaries in buffers made once per call and written with
-``out=``: that moves where a value is written, not how it is computed, and
-the blocks stay the same runs of input in the same order, so no bit moves.
+and ``lexsort`` routes exist for a while. ``quantize``, the counting sort and
+the merges keep a block's temporaries in buffers made once per call and
+written with ``out=``: that moves where a value is written, not how it is
+computed, and the blocks stay the same runs of input in the same order, so
+no bit moves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -63,6 +64,8 @@ SIGNIFICANT_DIGITS = 12
 TANGENT_MASS_TOL = 1e-10
 BLOCK = 1 << 16  # points per block of canonicalization's elementwise work, comparisons and merges
 # (at most 2**16: ``_counted_groups`` packs a uint16 cell and a position in a block into 32 bits)
+# 10**(11 - m) for each clipped decimal magnitude m = -250..250, at m + 250: the scales ``quantize`` rounds by
+_SCALES = np.power(10.0, (SIGNIFICANT_DIGITS - 1) - np.arange(-250.0, 251.0))
 
 
 def quantize(values) -> np.ndarray:
@@ -78,17 +81,29 @@ def quantize(values) -> np.ndarray:
 
 
 def _quantize_into(x: np.ndarray, out: np.ndarray) -> None:
-    """``quantize`` of the flat array x, written to the flat array out one block at a time."""
-    for start in range(0, x.shape[0], BLOCK):
-        xb, ob = x[start:start + BLOCK], out[start:start + BLOCK]
-        nz = xb != 0.0
-        xn = xb[nz]
-        mag = np.floor(np.log10(np.abs(xn)))
-        np.clip(mag, -250.0, 250.0, out=mag)
-        scale = np.power(10.0, (SIGNIFICANT_DIGITS - 1) - mag)
-        ob[...] = xb
-        ob[nz] = np.round(xn * scale) / scale
-        ob += 0.0  # fold -0.0 into +0.0
+    """``quantize`` of the flat array x, written to the flat array out one block at a time.
+
+    A point's decimal magnitude, clipped to +-250, picks its scale from
+    ``_SCALES``. 0 has magnitude -inf, clipped to -250, and 0 times its scale
+    rounds back to 0; a NaN's index is any, and it stays NaN at every scale.
+    """
+    width = min(BLOCK, x.shape[0])
+    magnitude, index = np.empty(width), np.empty(width, dtype=np.intp)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log10 of 0, and the cast of a NaN magnitude
+        for start in range(0, x.shape[0], BLOCK):
+            xb, ob = x[start:start + BLOCK], out[start:start + BLOCK]
+            mag, at = magnitude[:xb.shape[0]], index[:xb.shape[0]]
+            np.abs(xb, out=mag)
+            np.log10(mag, out=mag)
+            np.floor(mag, out=mag)
+            np.clip(mag, -250.0, 250.0, out=mag)
+            np.copyto(at, mag, casting="unsafe")
+            at += 250
+            scale = _SCALES.take(at, out=mag, mode="clip")
+            np.multiply(xb, scale, out=ob)
+            np.round(ob, out=ob)
+            ob /= scale
+            ob += 0.0  # fold -0.0 into +0.0
 
 
 def integer_keyed(points) -> bool:
@@ -259,7 +274,9 @@ class MergePlan:
     order already: their plan keeps ``order`` None and merges the weights
     where they lie. A plan with ``starts`` None too keeps points that are
     canonical already; ``support`` of a measure gives one. Pass a plan as the
-    ``points`` of a measure to build it without sorting.
+    ``points`` of a measure to build it without sorting. A plan of sums that
+    no measure is built on may keep ``points`` None: it still merges, and
+    ``sum_points`` makes the points again from the two factors'.
     """
 
     points: np.ndarray
@@ -298,24 +315,34 @@ class MergePlan:
             order, starts = _counted_groups(*cells)
         else:  # the wider cells of every pair at once, or the quantized keys
             order, starts = _groups(lambda: np.add.outer(*cells).ravel() if cells else _quantized_sum_keys(a, b))
-        first = order[starts]
-        points = a[first // b.shape[0]] + b[first % b.shape[0]]
-        return cls(_frozen(points), order, starts, (a.shape[0], b.shape[0]))
+        plan = cls(None, order, starts, (a.shape[0], b.shape[0]))
+        return replace(plan, points=plan.sum_points(a, b))
+
+    def sum_points(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The canonical points of the plan ``of_sums(a, b)``: the sum at each group's first pair, frozen.
+
+        A plan that dropped its ``points`` makes them again from a and b with this one expression, bit for bit.
+        """
+        first = self.order[self.starts]
+        return _frozen(a[first // b.shape[0]] + b[first % b.shape[0]])
 
     @property
     def shape(self) -> tuple:
-        """Shape of the points the plan merges, (N, m)."""
-        return (math.prod(self.inputs), self.points.shape[1])
+        """Shape of the points the plan merges: (N, m), or (N,) for a plan that keeps no ``points``."""
+        total = math.prod(self.inputs)
+        return (total,) if self.points is None else (total, self.points.shape[1])
 
     def merge(self, weights: np.ndarray) -> np.ndarray:
         """Weights of ``points``: the (N,) input weights summed over each group.
 
         With ``starts`` None they are the weights themselves: a read-only
         float64 array that owns its data is returned as it is, any other is
-        copied and frozen.
+        copied and frozen. Weights of any other length than the plan's input
+        raise ValueError, as ``_reduce`` raises.
         """
         w = np.asarray(weights, dtype=float)
         if self.starts is None:
+            self._check_lengths(w.shape[:1])
             return w if w.flags.owndata and not w.flags.writeable else _frozen(w.copy())
         return self._reduce(w)
 
@@ -341,10 +368,8 @@ class MergePlan:
         factors of any other lengths than its own, raise ValueError, so every
         gathered index is in range.
         """
-        lengths = p.shape[:1] if q is None else (p.shape[0], q.shape[0])
-        if lengths not in (self.inputs, self.shape[:1]):
-            raise ValueError("weights must be given at each input point of the plan")
-        groups, total = self.starts.shape[0], self.shape[0]
+        self._check_lengths(p.shape[:1] if q is None else (p.shape[0], q.shape[0]))
+        groups, total = self.starts.shape[0], math.prod(self.inputs)
         # the first group to start in each run of BLOCK input positions (in starts' own type: no cast copy)
         cuts = np.searchsorted(self.starts, np.arange(0, total, BLOCK, dtype=self.starts.dtype)).tolist()
         # each block of whole groups, lo to hi, and the input positions it spans, first to last
@@ -375,6 +400,11 @@ class MergePlan:
             np.subtract(self.starts[lo:hi], first, out=offsets)
             np.add.reduceat(values, offsets, out=out[lo:hi])
         return _frozen(out)
+
+    def _check_lengths(self, lengths: tuple) -> None:
+        """ValueError unless the weights' lengths are the plan's inputs, or their product."""
+        if lengths not in (self.inputs, (math.prod(self.inputs),)):
+            raise ValueError("weights must be given at each input point of the plan")
 
 
 def _canonical_support(points, weights):
@@ -441,6 +471,15 @@ class FiniteMeasure(SignedFiniteMeasure):
         pts, w = _canonical_support(self.points, self.weights)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
+
+
+def checked_weights(weights: np.ndarray) -> np.ndarray:
+    """(N,) weights as they are, once they pass a FiniteMeasure's checks; ValueError, as it raises, if they fail."""
+    if np.any(weights < 0.0):
+        raise ValueError("FiniteMeasure weights must be non-negative")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("points and weights must be finite")
+    return weights
 
 
 # Cephes ndtr/erf/erfc (the routine behind scipy.special.ndtr), coefficient for

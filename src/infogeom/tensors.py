@@ -62,7 +62,9 @@ def higher_scaling_check(
     def diagonal_integral(m: int) -> float:
         pair = nef_tangent(family, u, m, support_cap)
         score = radon_nikodym(pair.direction, pair.base)
-        return float(np.sum(pair.base.weights * score**k))
+        score **= k  # in place, as score**k computes it; the product with the weights commutes
+        score *= pair.base.weights
+        return float(np.sum(score))
 
     lhs = diagonal_integral(n)
     rhs = diagonal_integral(1)

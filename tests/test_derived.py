@@ -393,6 +393,7 @@ def test_a_plan_merges_only_weights_of_its_input_points():
         lambda: plan.merge(np.ones(5)),
         lambda: plan.merge_products(np.ones(2), np.ones(2)),
         lambda: plan.merge_products(np.ones(3), np.ones(2)),  # 6 products, but of factors in swapped lengths
+        lambda: FiniteMeasure([0, 1, 2], np.ones(3) / 3).support.merge(np.ones(5)),  # a plan with no starts
     ):
         with pytest.raises(ValueError, match=r"^weights must be given at each input point of the plan$"):
             merge()
@@ -589,27 +590,52 @@ def _cold(family, theta, n):
 
 
 @pytest.mark.parametrize("key", ["gauss_known_var", "bernoulli"])
-def test_nef_distribution_reuse_is_bitwise_cold(key, monkeypatch):
+def test_nef_distribution_reuse_is_bitwise_cold(key):
     f = make_family(key)  # a new family object: the store starts with no plan of it
     theta = f.theta_grid[2]
     order = (5, 1, 8, 3, 7, 11, 2, 4) if key == "bernoulli" else (3, 1, 2)
-    used = []  # the plan of every sum formed, first or again
-    original = derived._convolved
-    monkeypatch.setattr(derived, "_convolved", lambda plan, p, q: used.append(plan) or original(plan, p, q))
     warm, added, seen = {}, {}, set()
     for n in order:
         warm[n] = nef_distribution(f, theta, n)
         added[n], seen = set(derived._store.plans) - seen, set(derived._store.plans)
+        if n == 3:  # Q_3 is planned, so the plan of Q_1^{*3}, a sum the store does not keep, keeps no points
+            assert derived._store.plans[(1, 2)].points is None
     assert all(nef_distribution(f, theta, n) is warm[n] for n in order)
     for n in order:
         assert _bitwise_equal(warm[n], _cold(f, theta, n))
-    # only power-of-two sums are kept: Q_7 = Q_1^{*3} + Q_1^{*4} and Q_11 = Q_1^{*3} + Q_1^{*8} form the
-    # Q_1^{*3} of n = 3 again by replaying its plan, with no new plan for it
+    # only power-of-two sums are kept, and only their plans keep points: Q_7 = Q_1^{*3} + Q_1^{*4} and
+    # Q_11 = Q_1^{*3} + Q_1^{*8} form the Q_1^{*3} of n = 3 again by replaying its plan, with no new plan for it
     store = derived._store
     assert sorted(store.sums) == ([1, 2, 4, 8] if key == "bernoulli" else [1, 2])
-    assert sum(plan is store.plans[(1, 2)] for plan in used) == (3 if key == "bernoulli" else 1)
+    steps = [step for step in store.plans if isinstance(step, tuple)]
+    assert all((store.plans[(a, b)].points is None) == (a != b) for a, b in steps)
     if key == "bernoulli":
         assert added[7] == {(3, 4), 7} and added[11] == {(3, 8), 11}
+
+
+@pytest.mark.parametrize(
+    "key, params, later", [("gauss_known_var", {"nodes": 11}, (3, 7)), ("bernoulli", None, (3, 7, 15))]
+)
+def test_sums_without_points_make_them_again_bitwise_cold(key, params, later):
+    # Q_3 at one theta drops the points of Q_1^{*3}'s plan. At another theta Q_3 replays its weights, and the cold
+    # (3, 4) step of Q_7 makes those points again from Q_1's and Q_1^{*2}'s; bernoulli's (7, 8) step of Q_15 makes
+    # Q_1^{*7}'s from points made again themselves
+    f = make_family(key, params)
+    first, second = f.theta_grid[1], f.theta_grid[3]
+    assert _bitwise_equal(nef_distribution(f, first, 3), _cold(f, first, 3))
+    plan = derived._store.plans[(1, 2)]
+    assert plan.points is None and plan.shape == (math.prod(plan.inputs),)  # it still merges its inputs
+    for n in later:
+        assert _bitwise_equal(nef_distribution(f, second, n), _cold(f, second, n))
+    assert all(derived._store.plans[step].points is None for step in [(1, 2), (3, 4), (7, 8)][:len(later)])
+
+
+def test_store_plans_of_a_quadrature_q3_keep_no_sum_points():
+    # the plans of gauss Q_3 took 49.1 MB while the (1, 2) plan kept its 1.35M canonical sums (10.8 MB)
+    f = make_family("gauss_known_var")
+    nef_distribution(f, f.theta_grid[0], 3)
+    arrays = [a for plan in derived._store.plans.values() for a in (plan.points, plan.order, plan.starts)]
+    assert sum(a.nbytes for a in arrays if a is not None) < 39e6
 
 
 def test_nef_distribution_separates_family_objects():

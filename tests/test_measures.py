@@ -231,6 +231,64 @@ def test_quantize_merges_lattice_noise():
     assert quantize(np.array([0.0]))[0] == 0.0
 
 
+def _quantize_by_power(values):
+    """``quantize`` as it was before its scale table: ``np.power`` per nonzero point, zeros kept as they are."""
+    x = np.asarray(values, dtype=float)
+    out = x.copy()
+    nz = x != 0.0
+    xn = x[nz]
+    mag = np.floor(np.log10(np.abs(xn)))
+    np.clip(mag, -250.0, 250.0, out=mag)
+    scale = np.power(10.0, 11 - mag)
+    with np.errstate(invalid="ignore"):  # a signaling NaN times a NaN
+        out[nz] = np.round(xn * scale) / scale
+    out += 0.0
+    return out
+
+
+def _same_keys(ours, reference):
+    """Bitwise equal, but for a NaN's sign and payload: the power formula multiplied two NaNs, whose result the CPU
+    picks (no caller quantizes a NaN: a measure and a sum plan reject points that are not finite first)."""
+    nan = np.isnan(reference)
+    assert np.array_equal(np.isnan(ours), nan)
+    _same_bits(ours[~nan], reference[~nan])
+
+
+def _decade(k, ulps, sign):
+    """sign * 10**k (0 or inf past the float range) moved ``ulps`` ulps away from 0 (ulps < 0: toward it)."""
+    x = float(f"1e{k}")
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else 0.0))
+    return sign * x
+
+
+_QUANTIZE_SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e308, -1e308, 1.7976931348623157e308,
+                      5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-300]
+_decades = st.builds(_decade, st.integers(-340, 340), st.integers(-2, 2), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from(_QUANTIZE_SPECIALS) | _decades, min_size=1, max_size=40))
+def test_quantize_by_table_is_quantize_by_power(values):
+    # with warnings as errors: log10 of 0 and the cast of a NaN's magnitude must raise no warning either
+    x = np.array(values)
+    with np.errstate(all="raise"):
+        ours = quantize(x)
+    _same_keys(ours, _quantize_by_power(x))
+
+
+def test_quantize_by_table_is_quantize_by_power_across_blocks():
+    # every decade from 10^-330 to 10^330 with its neighbours, both signs and the specials, among random
+    # floats of every magnitude, in more than two blocks and a short last one
+    rng = np.random.default_rng(7)
+    grid = [_decade(k, u, s) for k in range(-330, 331) for u in (-1, 0, 1) for s in (1.0, -1.0)]
+    x = np.concatenate([grid, _QUANTIZE_SPECIALS, rng.integers(0, 2**64, 140_000, dtype=np.uint64).view(float)])
+    rng.shuffle(x)
+    with np.errstate(all="raise"):
+        ours = quantize(x.reshape(-1, 2))
+    _same_keys(ours.reshape(-1), _quantize_by_power(x))
+
+
 # -- property tests ---------------------------------------------------------
 
 # Coordinates live on a coarse decimal lattice so they sit well inside their

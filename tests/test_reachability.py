@@ -2,7 +2,8 @@
 
 The CLI runs in-process under ``sys.setprofile`` over every command on the
 lattice families at defaults, the row commands on the quadrature families at
-n = 1, 2, a config-file run, an explicit box and an unknown flag. A function
+n = 1, 2, a config-file run, an explicit box, a run at n = 3 (whose sum the
+Q_n store keeps no measure of) and an unknown flag. A function
 or method defined in a module of the package that none of these runs calls
 fails the test unless ``ALLOWED`` names it with its reason. Methods that
 ``dataclass`` generates are skipped: their code does not live in the module's
@@ -71,6 +72,7 @@ def _runs(tmp_path):
             yield [command, "--family", family, "--n", "1,2"], 0
     yield ["clt", "--config", str(config)], 0
     yield ["invariance", "--family", "bernoulli", "--theta-lo", "-3", "--theta-hi", "3", "--n", "1,2"], 0
+    yield ["clt", "--family", "bernoulli", "--n", "3"], 0
     yield ["clt", "--family", "bernoulli", "--no-such-flag"], 1
 
 

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from infogeom.expfam import fisher_information
+from infogeom.derived import nef_tangent
+from infogeom.expfam import TangentCoord, fisher_information
+from infogeom.measures import radon_nikodym
 from infogeom.tensors import amari_chentsov, fd_third_derivative, higher_scaling_check
 
 LOG3 = math.log(3.0)
@@ -86,3 +88,28 @@ def test_higher_scaling_n1_trivial(families):
         residual, exponent = higher_scaling_check(f, 0.5, np.ones(1), 1, k)
         assert residual == 0.0
         assert math.isnan(exponent)
+
+
+def _expression_form(family, theta, a, n, k):
+    """``higher_scaling_check`` with each integral written as the expression sum(weights * score**k)."""
+    u = TangentCoord(np.asarray(theta, dtype=float).reshape(-1), a)
+
+    def integral(m):
+        pair = nef_tangent(family, u, m)
+        score = radon_nikodym(pair.direction, pair.base)
+        return float(np.sum(pair.base.weights * score**k))
+
+    lhs, rhs = integral(n), integral(1)
+    residual = abs(lhs - float(n) ** (k / 2.0) * rhs)
+    if rhs != 0.0 and lhs != 0.0 and (lhs / rhs) > 0.0:
+        return residual, float(np.log(lhs / rhs) / np.log(n))
+    return residual, float("nan")
+
+
+@pytest.mark.parametrize("key, theta, n", [("bernoulli", LOG3, 4), ("bernoulli", 0.0, 5), ("gauss_known_var", 0.7, 3)])
+def test_higher_scaling_in_place_is_the_expression_bit_for_bit(families, key, theta, n):
+    # score **= k dispatches as score**k does (the square fast path at k = 2) and the product commutes
+    f = families[key]
+    for k in (2, 3, 4):
+        ours = np.array(higher_scaling_check(f, theta, np.ones(1), n, k))
+        assert ours.tobytes() == np.array(_expression_form(f, theta, np.ones(1), n, k)).tobytes()
