@@ -28,14 +28,15 @@ later cold plan of a sum with it as a factor reads (n = 7 = 3 + 4 after
 n = 3); that one makes them again from the factors' points as
 ``MergePlan.of_sums`` made them (``MergePlan.sum_points``), bit for bit. A
 request for another family or cap drops the store, and one at another theta
-its sums and means, before anything is built (the plans of a quadrature
-``Q_3`` take 38 MB with int32 indices, 11 MB of it point arrays that the
-measures built on them share; 49 MB while the sum plan kept its 10.8 MB of
-points). ``Q_1^{*m}`` is always composed from the low bits of m up, in the
-order of a cold binary-exponentiation build, and a plan replays the float
-work of the sort it recorded, so a reused or replayed result is bitwise
-identical to a fresh one; measures are immutable, so the function stays
-observably pure.
+its sums and means, before anything is built. A plan holds, per input
+point or pair, an int32 position, or a uint16 row cell on the counting
+route of the lattice families, and none for a 1/n rescale of 1-D points;
+its canonical points, which the measures built on it share, take 8 bytes
+a coordinate, and the group starts 4 bytes a point. ``Q_1^{*m}`` is
+always composed from the low bits of m up, in the order of a cold
+binary-exponentiation build, and a plan replays the float work of the sort
+it recorded, so a reused or replayed result is bitwise identical to a fresh
+one; measures are immutable, so the function stays observably pure.
 """
 
 from __future__ import annotations

@@ -19,11 +19,14 @@ split them into the same groups, in the same order, as the keys, and both
 sorts are stable, so the plan is the same bit for bit. ``MergePlan.of_sums``
 plans the pairwise sums of two point arrays this way when it can: the cell
 of a sum is the sum of its factors' cells. Cells of a grid of at most 65,535
-are uint16 and take a stable counting sort (``_counted_groups``) that makes
-them a block at a time from the factors' cells and writes the int32 order
-directly: a stable sort lists the cells by (cell, input position) whichever
-way it runs, so the order is the one ``argsort`` gives, and neither an
-array of the pairs' cells nor an int64 index per pair is made. (N, 1)
+are uint16; when each factor's cells rise strictly, as those of a canonical
+support do, they take a counting sort (``_counted_groups``) that makes
+them a block at a time from the factors' cells. A cell then holds at most
+one pair of each row, so its pairs in input order are its pairs by row
+cell, and a pair is its row cell and its group's cell: the plan keeps a
+uint16 row cell per pair in ``order``, not an int32 input position, and
+neither an array of the pairs' cells nor an int64 index per pair is made.
+Other uint16 cells take ``argsort`` as wider ones do. (N, 1)
 points that never decrease are not sorted at all: quantization is
 monotone, so their keys never decrease either, and a stable sort of them is
 the identity. ``MergePlan.build`` then keeps no ``order``, and a merge sums
@@ -35,7 +38,9 @@ comparisons that find where groups start, the counting sort of uint16
 cells, the quantized keys of pairwise sums (one block of rows of the first
 factor at a time) and the merges of a plan (whole groups gathered, or
 sliced where they lie, and summed together; the weight products of a sum
-step formed per block). Only
+step formed per block, on a plan of row cells from each factor's weights
+laid over its cells, gathered by row cell and by column cell, the group's
+cell less the row cell: the same products in the same order). Only
 elementwise work, integer counts, ``reduceat`` over whole groups and
 ``max`` are split, because each gives the same bits in blocks. ``np.sum``
 and float ``cumsum`` keep their whole operand arrays, because their
@@ -63,7 +68,6 @@ from .errors import AbsoluteContinuityError
 SIGNIFICANT_DIGITS = 12
 TANGENT_MASS_TOL = 1e-10
 BLOCK = 1 << 16  # points per block of canonicalization's elementwise work, comparisons and merges
-# (at most 2**16: ``_counted_groups`` packs a uint16 cell and a position in a block into 32 bits)
 # 10**(11 - m) for each clipped decimal magnitude m = -250..250, at m + 250: the scales ``quantize`` rounds by
 _SCALES = np.power(10.0, (SIGNIFICANT_DIGITS - 1) - np.arange(-250.0, 251.0))
 
@@ -142,8 +146,8 @@ def _sum_cells(a: np.ndarray, b: np.ndarray):
     The cell of a sum a_i + b_j is the cell of a_i plus the cell of b_j, in
     the key order of the sums, so the two short vectors number every pair.
     They take the type of the sums' cells: uint16 up to 65,535 cells, which
-    ``_counted_groups`` sorts by counting, uint32 up to 2**32 and int64
-    beyond. None, for the quantized route, unless every point and every sum
+    ``_counted_groups`` sorts by counting when each vector rises strictly,
+    uint32 up to 2**32 and int64 beyond. None, for the quantized route, unless every point and every sum
     is ``integer_keyed`` and the grid fits int64.
     """
     lo_a, lo_b = a.min(axis=0), b.min(axis=0)
@@ -194,26 +198,34 @@ def _groups(make_keys):
 
 
 def _counted_groups(ca: np.ndarray, cb: np.ndarray):
-    """``_groups`` of the uint16 cells ca_i + cb_j of pairwise sums (flattened over (i, j)) by a counting sort.
+    """Row cells, group starts and (ca, cb, group cells) of the pairwise sums of strictly increasing uint16 cells.
 
-    A block's cells are made in one buffer, made per call, from the rows of
-    ca that the block spans: no array of all the pairs' cells exists. They
-    are counted in as many bins as the largest cell needs. Then each block,
-    in input order, is made again, sorted stably, and its positions go to
-    their cells' next free slots, so each cell's positions land in input
-    order, as a stable ``argsort`` puts them. A block sorts the uint32 keys
-    cell * 2**16 + position in the block: they are distinct, so any sort of
-    them is stable. The keys are made in the buffer, and the block's intp
-    slots in the order then take their place, so beside the order a step
-    holds a buffer, a block's sorted keys and per-cell counts.
+    The pairs are flattened over (i, j), and sorted stably by their cells
+    ca_i + cb_j by counting. A block's uint32 keys (ca_i + cb_j) * 2**16 + ca_i
+    carry no bit across their halves, as the grid has at most 65,535 cells.
+    They are made in one buffer, made per call, from the rows of ca that the
+    block spans, as ca_i * 2**16 + ca_i plus cb_j * 2**16: no array of all
+    the pairs' keys exists. The cells of each factor are distinct, so every
+    pair has its own key: any sort of them is stable, and it lists a cell's
+    pairs by row, which is input order. First the cells alone are counted, a
+    block at a time, in as many bins as the largest cell needs. Then each
+    block, in input order, is made again and sorted, and the low halves of
+    its keys, the row cells, go to their cells' next free slots: the k-th
+    sorted pair goes to slot k plus, for its cell, the cell's next free slot
+    less where its run starts in the block, looked up once per run. So the
+    order is ``argsort``'s, written as row cells. Beside the uint16 order a
+    step holds the buffer, a block's sorted keys, an ``arange`` and a mask as
+    long as a block, and per-cell counts.
     """
     nb, total = cb.shape[0], ca.shape[0] * cb.shape[0]
     index = _index_type(total)
-    size = int(ca.max()) + int(cb.max()) + 1
+    size = int(ca[-1]) + int(cb[-1]) + 1
     width = min(BLOCK, total)
     rows = min(ca.shape[0], width // nb + 2) * nb  # pairs in the rows of ca that a block spans, at most
-    buffer = np.empty(max(width, -(-rows // 2)), dtype=np.intp)  # a block's intp slots, or its rows' uint32 keys
-    high_a, high_b = (c.astype(np.uint32) << 16 for c in (ca, cb))  # the cells in the high half of a uint32 key
+    buffer = np.empty(max(width, -(-rows // 2)), dtype=np.intp)  # a block's rows' uint32 keys, or its intp slots
+    ascending, fresh = np.arange(width, dtype=np.intp), np.ones(width, dtype=bool)  # fresh: where a run starts
+    wide_a = ca.astype(np.uint32)
+    keyed_a, keyed_b = (wide_a << 16) | wide_a, cb.astype(np.uint32) << 16
 
     def made(x, y, start):
         """The sums x_i + y_j of the block of pairs at start, made in the buffer from the rows of x it spans."""
@@ -227,29 +239,31 @@ def _counted_groups(ca: np.ndarray, cb: np.ndarray):
     for start in range(0, total, BLOCK):
         counts += np.bincount(made(ca, cb, start), minlength=size)
     free = np.cumsum(counts) - counts  # each cell's next free slot in the order
-    starts = free[counts > 0].astype(index)
-    order = np.empty(total, dtype=index)
+    occupied = np.flatnonzero(counts)
+    starts = free[occupied].astype(index)
+    shift = counts  # per cell: its next free slot less where its run starts in a block
+    order = np.empty(total, dtype=np.uint16)
     for start in range(0, total, BLOCK):
-        key = made(high_a, high_b, start)
-        key |= np.arange(key.shape[0], dtype=np.uint16)
-        ranked = np.sort(key)
-        slot = buffer[:key.shape[0]]
+        ranked = np.sort(made(keyed_a, keyed_b, start))
+        slot = buffer[:ranked.shape[0]]
         np.right_shift(ranked, 16, out=slot)  # the block's cells, sorted
-        here = np.bincount(slot, minlength=size)
-        occupied = np.flatnonzero(here)
-        runs = np.cumsum(here[occupied]) - here[occupied]  # where each occupied cell's run starts in the block
-        # the k-th sorted position goes to slot k + free[cell] - (its cell's run start): the slots rise by 1 and
-        # jump where a run starts, and their cumulative sum gives them in place
-        slot.fill(1)
-        slot[runs] += np.diff(free[occupied] - runs, prepend=1)
-        np.cumsum(slot, out=slot)
-        free += here
-        np.bitwise_and(ranked, 0xFFFF, out=ranked)
-        position = ranked.view(np.int32) if index is np.int32 else ranked.astype(np.intp)
-        position += start
-        order[slot] = position
-        del ranked, position  # before the next block's keys are sorted
-    return _frozen(order), _frozen(starts)
+        np.not_equal(slot[1:], slot[:-1], out=fresh[1:slot.shape[0]])
+        runs = np.flatnonzero(fresh[:slot.shape[0]])
+        cell = slot[runs]
+        shift[cell] = free[cell] - runs
+        free[cell] += np.diff(runs, append=slot.shape[0])
+        np.take(shift, slot, out=slot, mode="clip")  # in place: take reads each index before it writes there
+        slot += ascending[:slot.shape[0]]
+        order[slot] = ranked  # the cast keeps a key's low half: its row cell
+        del ranked  # before the next block's keys are sorted
+    return _frozen(order), _frozen(starts), (_frozen(ca), _frozen(cb), _frozen(occupied.astype(np.uint16)))
+
+
+def _dense(cells: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The weights at their cells in a float array over the cells up to the last, zero elsewhere."""
+    dense = np.zeros(int(cells[-1]) + 1)
+    dense[cells] = weights
+    return dense
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -276,13 +290,20 @@ class MergePlan:
     canonical already; ``support`` of a measure gives one. Pass a plan as the
     ``points`` of a measure to build it without sorting. A plan of sums that
     no measure is built on may keep ``points`` None: it still merges, and
-    ``sum_points`` makes the points again from the two factors'.
+    ``sum_points`` makes the points again from the two factors'. A plan of
+    sums sorted by counting (``of_sums``) keeps in ``order`` the uint16 row
+    cell ca_i of each pair in place of its position i * nb + j, and in
+    ``cells`` the factors' strictly increasing cells ca and cb and the cell
+    of each group; the pair's column cell cb_j is its group's cell less
+    ca_i, and a cell's place among its factor's is the point's. Every other
+    plan keeps ``cells`` None.
     """
 
     points: np.ndarray
     order: Optional[np.ndarray]
     starts: Optional[np.ndarray]
     inputs: tuple
+    cells: Optional[tuple] = None
 
     @classmethod
     def build(cls, points) -> "MergePlan":
@@ -308,14 +329,15 @@ class MergePlan:
         Equal to ``build`` of the sums, which are never made: the keys are
         the integer cells of ``_sum_cells`` when it gives them, else the
         quantized sums of ``_quantized_sum_keys``, and only the canonical sums
-        are made.
+        are made. A plan sorted by counting keeps row cells in ``order``,
+        which its ``cells`` turn into ``build``'s positions.
         """
-        cells = _sum_cells(a, b)
-        if cells is not None and cells[0].dtype == np.uint16:
-            order, starts = _counted_groups(*cells)
+        cells, grid = _sum_cells(a, b), None
+        if cells is not None and cells[0].dtype == np.uint16 and all(np.all(c[1:] > c[:-1]) for c in cells):
+            order, starts, grid = _counted_groups(*cells)
         else:  # the wider cells of every pair at once, or the quantized keys
             order, starts = _groups(lambda: np.add.outer(*cells).ravel() if cells else _quantized_sum_keys(a, b))
-        plan = cls(None, order, starts, (a.shape[0], b.shape[0]))
+        plan = cls(None, order, starts, (a.shape[0], b.shape[0]), grid)
         return replace(plan, points=plan.sum_points(a, b))
 
     def sum_points(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -324,7 +346,10 @@ class MergePlan:
         A plan that dropped its ``points`` makes them again from a and b with this one expression, bit for bit.
         """
         first = self.order[self.starts]
-        return _frozen(a[first // b.shape[0]] + b[first % b.shape[0]])
+        if self.cells is None:
+            return _frozen(a[first // b.shape[0]] + b[first % b.shape[0]])
+        ca, cb, occupied = self.cells  # a factor's cells rise strictly, so a cell's place among them is its point's
+        return _frozen(a[np.searchsorted(ca, first)] + b[np.searchsorted(cb, occupied - first)])
 
     @property
     def shape(self) -> tuple:
@@ -359,12 +384,15 @@ class MergePlan:
         Whole groups are summed (``reduceat``) a block of about ``BLOCK``
         input positions at a time, so each group's sum is the one over all
         the input at once. With ``order`` None a block is a slice of p;
-        otherwise its values are gathered. A block's positions, rows and
+        otherwise its values are gathered. A plan of row cells gathers p_i and
+        q_j by row cell and column cell from the factors' weights laid over
+        their cells, once per call; its flat weights, by the positions i * nb
+        + j that the cells give. A block's positions, rows and
         gathered values go to three buffers made once per call, as long as
         its longest block (longer than ``BLOCK`` when a group is), and a
         buffer whose values are used takes the next ones. The positions are
-        intp, which numpy would otherwise make of the int32 order at every
-        gather. Weights of any other length than the plan's input, and
+        intp, which numpy would otherwise make of the int32 or uint16 order
+        at every gather. Weights of any other length than the plan's input, and
         factors of any other lengths than its own, raise ValueError, so every
         gathered index is in range.
         """
@@ -379,20 +407,33 @@ class MergePlan:
         at_all = np.empty(width, dtype=np.intp)
         if self.order is not None:
             row_all, values_all = np.empty(width, dtype=np.intp), np.empty(width)
+        if self.cells is not None:
+            ca, cb, occupied = self.cells
+            sizes = np.diff(self.starts, append=total)
+            if q is not None:  # each factor's weights at its cells, zero between them
+                p, q = _dense(ca, p), _dense(cb, q)
         out = np.empty(groups)
         for lo, hi, first, last in spans:
             if self.order is None:
                 values = p[first:last]
             else:
                 at, row, values = at_all[:last - first], row_all[:last - first], values_all[:last - first]
-                np.copyto(at, self.order[first:last])
+                if self.cells is not None:  # the row cells, and the column cells: their group's cell less them
+                    np.copyto(row, self.order[first:last])
+                    np.subtract(np.repeat(occupied[lo:hi], sizes[lo:hi]), row, out=at)
+                    if q is None:  # the input positions i * nb + j
+                        np.add(np.searchsorted(ca, row) * cb.shape[0], np.searchsorted(cb, at), out=at)
+                else:
+                    np.copyto(at, self.order[first:last])
                 if q is None:
                     np.take(p, at, out=values, mode="clip")  # in range: mode "raise" would write to a copy of out
                 else:
-                    np.floor_divide(at, q.shape[0], out=row)
+                    if self.cells is None:  # the row i and the column j of each input position i * nb + j
+                        np.floor_divide(at, q.shape[0], out=row)
                     np.take(p, row, out=values, mode="clip")
-                    row *= q.shape[0]
-                    at -= row  # the column: not at % q.shape[0], a slower integer division
+                    if self.cells is None:
+                        row *= q.shape[0]
+                        at -= row  # the column: not at % q.shape[0], a slower integer division
                     other = row.view(np.float64)  # the rows are used, so their buffer takes q's weights
                     np.take(q, at, out=other, mode="clip")
                     values *= other

@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -196,12 +197,33 @@ def _pair_cells(a, b):
 
 
 def _effective_order(plan):
-    """The plan's order; for a plan that keeps none (its input is in key order already) the identity."""
-    return np.arange(plan.shape[0], dtype=plan.starts.dtype) if plan.order is None else plan.order
+    """The plan's order as input positions, in the type of its starts.
+
+    A plan that keeps none (its input is in key order already) has the identity. A plan of row cells has, for the
+    pair of each row cell ca_i and its group's cell, the position i * nb + j of the column cell cb_j = cell - ca_i,
+    each cell found among its factor's (IndexError or a failed assert if it is not there).
+    """
+    if plan.order is None:
+        return np.arange(plan.shape[0], dtype=plan.starts.dtype)
+    if plan.cells is None:
+        return plan.order
+    ca, cb, occupied = plan.cells
+    row = plan.order.astype(np.int64)
+    column = np.repeat(occupied, np.diff(plan.starts, append=row.shape[0])).astype(np.int64) - row
+    i, j = np.searchsorted(ca, row), np.searchsorted(cb, column)
+    assert np.array_equal(ca[i], row) and np.array_equal(cb[j], column)
+    return (i * cb.shape[0] + j).astype(plan.starts.dtype)
 
 
 def _plans_equal(plan, ref):
-    """Bitwise equality of two merge plans, -0.0 told apart from 0.0, and of their effective orders."""
+    """Bitwise equality of two merge plans, -0.0 told apart from 0.0, and of their effective orders.
+
+    A plan of row cells keeps them as uint16, beside strictly increasing uint16 factor cells and its groups' cells.
+    """
+    if plan.cells is not None:
+        ca, cb, occupied = plan.cells
+        assert plan.order.dtype == ca.dtype == cb.dtype == occupied.dtype == np.uint16
+        assert np.all(ca[1:] > ca[:-1]) and np.all(cb[1:] > cb[:-1]) and occupied.shape == plan.starts.shape
     return (
         plan.points.tobytes() == ref.points.tobytes()
         and plan.points.shape == ref.points.shape
@@ -211,6 +233,12 @@ def _plans_equal(plan, ref):
         and plan.starts.dtype == ref.starts.dtype
         and np.array_equal(plan.starts, ref.starts)
     )
+
+
+def _counted(a, b):
+    """True when the sums of a and b take the counting sort: uint16 cells, strictly increasing in each factor."""
+    cells = measures._sum_cells(a, b)
+    return cells is not None and cells[0].dtype == np.uint16 and all(np.all(c[1:] > c[:-1]) for c in cells)
 
 
 def _quantized_plan(a, b):
@@ -228,7 +256,8 @@ def _quantized_plan(a, b):
     ],
 )
 def test_lattice_sum_plans_equal_the_quantized_build(key, ladder, monkeypatch):
-    # every sum step of the family's high-n ladder, taken by the integer-cell route
+    # every sum step of the family's high-n ladder, taken by the integer-cell route: the factors are canonical, so
+    # their cells rise strictly, and every step sorts its uint16 cells by counting and keeps its pairs' row cells
     f = make_family(key)
     calls = _count_routes(monkeypatch)
     for n in ladder:
@@ -239,6 +268,7 @@ def test_lattice_sum_plans_equal_the_quantized_build(key, ladder, monkeypatch):
     for a, b in steps:
         p, q = store.sums[a].points, store.sums[b].points
         assert measures._sum_cells(p, q) is not None
+        assert _counted(p, q) and store.plans[(a, b)].cells is not None
         assert _plans_equal(store.plans[(a, b)], _quantized_plan(p, q))
 
 
@@ -284,7 +314,10 @@ def test_integer_cells_give_the_quantized_plan(factors):
     assert (cells is not None) == (grid < 2**63)
     if cells is not None:
         assert cells.dtype == (np.uint16 if grid <= 65_535 else np.uint32 if grid <= 2**32 else np.int64)
-    assert _plans_equal(derived._sum_plan(a, b, derived.SUPPORT_CAP), _quantized_plan(a, b))
+    plan = derived._sum_plan(a, b, derived.SUPPORT_CAP)
+    # repeated rows and -0.0 beside 0.0 repeat a cell, and such uint16 cells take argsort like wider ones
+    assert (plan.cells is not None) == _counted(a, b)
+    assert _plans_equal(plan, _quantized_plan(a, b))
 
 
 @pytest.mark.parametrize(
@@ -307,20 +340,29 @@ def test_sums_off_the_integer_keys_take_the_quantized_route(a, b, monkeypatch):
     assert _plans_equal(plan, _quantized_plan(a, b))
 
 
-def _blocky_factors(lattice):
-    """Two point arrays whose pair sums hold long groups, -0.0 and, off the lattice, 12-digit ties.
+def _blocky_factors(lattice, dim):
+    """Pairs of (N, dim) point arrays whose pair sums hold long groups, -0.0 and, off the lattice, 12-digit ties.
 
-    On the lattice every point is an integer, so the sums take uint16 integer cells, and the counting sort.
+    On the lattice every point is an integer, so the sums take uint16 integer cells. The first pair repeats
+    points and has -0.0 beside 0.0, so its cells do not rise strictly and it takes argsort; the second is canonical,
+    and takes the counting sort. A second column is 2x beside each x of a, and -x beside each x of b; 2x in the
+    canonical b too, because the sums of distinct canonical points would each be their own group.
     """
     rng = np.random.default_rng(7)
     if lattice:  # five values, so each group of sums is long; -0.0 first, so a -0.0 sum leads its group
         a = np.concatenate([[-0.0], rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], 40)]).reshape(-1, 1)
         b = np.array([-0.0, 0.0, 1.0, -1.0, 3.0, 0.0]).reshape(-1, 1)
-        return a, b
-    grid = rng.choice([-0.25, -0.0, 0.0, 0.25, 0.5], 30)  # long groups; -0.0 first, so a -0.0 sum leads its group
-    a = np.concatenate([[-0.0], grid, rng.standard_normal(10)]).reshape(-1, 1)
-    b = np.concatenate([[-0.0, 0.0, 0.25, -0.25, 1.0 + 2.0**-45, 1.0], rng.standard_normal(5)]).reshape(-1, 1)
-    return a, b
+        # canonical: a's first point is -0.0 and meets b's -0.0 first, so a -0.0 sum leads its group
+        canonical_a = np.array([-0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0, 9.0, 11.0, 12.0]).reshape(-1, 1)
+        canonical_b = np.array([-3.0, -1.0, -0.0, 1.0, 2.0, 4.0, 5.0]).reshape(-1, 1)
+        pairs = [(a, b, -b), (canonical_a, canonical_b, 2.0 * canonical_b)]
+    else:
+        # long groups; -0.0 first, so a -0.0 sum leads its group
+        grid = rng.choice([-0.25, -0.0, 0.0, 0.25, 0.5], 30)
+        a = np.concatenate([[-0.0], grid, rng.standard_normal(10)]).reshape(-1, 1)
+        b = np.concatenate([[-0.0, 0.0, 0.25, -0.25, 1.0 + 2.0**-45, 1.0], rng.standard_normal(5)]).reshape(-1, 1)
+        pairs = [(a, b, -b)]
+    return [(a, b) if dim == 1 else (np.hstack([a, 2.0 * a]), np.hstack([b, other])) for a, b, other in pairs]
 
 
 @pytest.mark.parametrize(
@@ -332,59 +374,111 @@ def _blocky_factors(lattice):
         for block in (1, 2, 3, 7, 64)
     ],
 )
-def test_blocks_change_no_bits(block, dim, lattice, monkeypatch):
+def test_blocks_change_no_bits(block, dim, lattice):
     # every result in blocks of `block` points against the one-shot reference (inputs below one default block)
-    a, b = _blocky_factors(lattice)
-    if dim == 2:
-        a, b = np.hstack([a, 2.0 * a]), np.hstack([b, -b])
-    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, dim)
-    p = np.linspace(0.5, 2.0, a.shape[0]) / 3.0
-    q = np.linspace(1.0, 0.25, b.shape[0]) / 7.0
-    ref_keys = quantize(sums)
-    ref_plan = _quantized_plan(a, b)
-    cells = _pair_cells(a, b)
-    assert (cells.dtype == np.uint16) if lattice else (cells is None)
-    last = np.append(ref_plan.starts[1:], sums.shape[0]) - 1
-    assert np.any(ref_plan.starts // block < last // block)  # a group straddles a block edge
-    negative_zero = (ref_plan.points == 0.0) & np.signbit(ref_plan.points)
-    assert np.any(negative_zero) and not np.any((ref_keys == 0.0) & np.signbit(ref_keys))  # -0.0 sums, +0.0 keys
-    ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[_effective_order(ref_plan)], ref_plan.starts)
+    routes = []
+    for a, b in _blocky_factors(lattice, dim):
+        sums = (a[:, None, :] + b[None, :, :]).reshape(-1, dim)
+        p = np.linspace(0.5, 2.0, a.shape[0]) / 3.0
+        q = np.linspace(1.0, 0.25, b.shape[0]) / 7.0
+        ref_keys = quantize(sums)
+        ref_plan = _quantized_plan(a, b)
+        cells = _pair_cells(a, b)
+        assert (cells.dtype == np.uint16) if lattice else (cells is None)
+        last = np.append(ref_plan.starts[1:], sums.shape[0]) - 1
+        assert np.any(ref_plan.starts // block < last // block)  # a group straddles a block edge
+        negative_zero = (ref_plan.points == 0.0) & np.signbit(ref_plan.points)
+        # -0.0 sums, +0.0 keys
+        assert np.any(negative_zero) and not np.any((ref_keys == 0.0) & np.signbit(ref_keys))
+        ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[_effective_order(ref_plan)], ref_plan.starts)
 
-    monkeypatch.setattr(measures, "BLOCK", block)
-    assert quantize(sums).tobytes() == ref_keys.tobytes()
-    plan = MergePlan.of_sums(a, b)
-    assert _plans_equal(plan, ref_plan) and _plans_equal(_quantized_plan(a, b), ref_plan)
-    assert plan.merge_products(p, q).tobytes() == ref_merge.tobytes()
-    assert plan.merge(np.outer(p, q).reshape(-1)).tobytes() == ref_merge.tobytes()
+        with mock.patch.object(measures, "BLOCK", block):
+            assert quantize(sums).tobytes() == ref_keys.tobytes()
+            plan = MergePlan.of_sums(a, b)
+            assert _plans_equal(plan, ref_plan) and _plans_equal(_quantized_plan(a, b), ref_plan)
+            assert plan.merge_products(p, q).tobytes() == ref_merge.tobytes()
+            assert plan.merge(np.outer(p, q).reshape(-1)).tobytes() == ref_merge.tobytes()
+        routes.append(plan.cells is not None)
+    assert routes == ([False, True] if lattice else [False])  # the canonical lattice factors alone are counted
 
 
 @pytest.mark.parametrize("block", [3, 7])
 @pytest.mark.parametrize(
-    "a, b, long_rows",
+    "a, b, canonical, long_rows",
     [
         # rows of 20 pairs: blocks start inside rows, and a block can lie within one row
-        (np.array([[2.0], [-0.0], [1.0]]), np.arange(-4.0, 16.0).reshape(-1, 1) % 7, True),
-        # all 60 pairs in one group, longer than several blocks: a replay gathers it whole
-        (np.zeros((5, 1)), np.array([[-0.0], [0.0]] * 6), False),
+        (
+            np.array([[2.0], [-0.0], [1.0]]),
+            np.arange(-4.0, 16.0).reshape(-1, 1) % 7,
+            (np.array([[-0.0], [1.0], [2.0]]), np.arange(-4.0, 16.0).reshape(-1, 1)),
+            True,
+        ),
+        # all 60 pairs in one group, longer than several blocks: a replay gathers it whole; canonical factors hold
+        # no group longer than their shorter factor, here 30 pairs in the group of cell 29
+        (
+            np.zeros((5, 1)),
+            np.array([[-0.0], [0.0]] * 6),
+            (np.arange(30.0)[:, None], np.arange(30.0)[:, None]),
+            False,
+        ),
     ],
     ids=["rows-longer-than-a-block", "one-group-of-many-blocks"],
 )
-def test_counted_blocks_change_no_bits(a, b, long_rows, block, monkeypatch):
-    # uint16 cells made a block at a time from the factors, and replays into buffers as long as the longest block
-    pairs = a.shape[0] * b.shape[0]
-    p = np.linspace(0.5, 2.0, a.shape[0]) / 3.0
-    q = np.linspace(1.0, 0.25, b.shape[0]) / 7.0
-    ref_plan = _quantized_plan(a, b)
-    ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[_effective_order(ref_plan)], ref_plan.starts)
-    assert _pair_cells(a, b).dtype == np.uint16
-    longest = np.max(np.diff(np.append(ref_plan.starts, pairs)))
-    assert b.shape[0] > block if long_rows else longest > 3 * block
+def test_counted_blocks_change_no_bits(a, b, canonical, long_rows, block):
+    # uint16 cells made a block at a time from the factors, and replays into buffers as long as the longest block:
+    # factors with repeated points take argsort, and canonical ones the counting sort
+    for (a, b), counted in (((a, b), False), (canonical, True)):
+        pairs = a.shape[0] * b.shape[0]
+        p = np.linspace(0.5, 2.0, a.shape[0]) / 3.0
+        q = np.linspace(1.0, 0.25, b.shape[0]) / 7.0
+        ref_plan = _quantized_plan(a, b)
+        ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[_effective_order(ref_plan)], ref_plan.starts)
+        assert _pair_cells(a, b).dtype == np.uint16 and _counted(a, b) == counted
+        longest = np.max(np.diff(np.append(ref_plan.starts, pairs)))
+        assert b.shape[0] > block if long_rows else longest > 3 * block
 
-    monkeypatch.setattr(measures, "BLOCK", block)
-    plan = MergePlan.of_sums(a, b)
-    assert _plans_equal(plan, ref_plan)
-    assert plan.merge_products(p, q).tobytes() == ref_merge.tobytes()
-    assert plan.merge(np.outer(p, q).reshape(-1)).tobytes() == ref_merge.tobytes()
+        with mock.patch.object(measures, "BLOCK", block):
+            plan = MergePlan.of_sums(a, b)
+            assert (plan.cells is not None) == counted
+            assert _plans_equal(plan, ref_plan)
+            assert plan.merge_products(p, q).tobytes() == ref_merge.tobytes()
+            assert plan.merge(np.outer(p, q).reshape(-1)).tobytes() == ref_merge.tobytes()
+
+
+@st.composite
+def _canonical_integer_factors(draw):
+    """Two canonical integer supports of one or two columns: sorted, no point repeated, some zeros -0.0."""
+    dim = draw(st.integers(1, 2))
+    factors = []
+    for _ in range(2):
+        rows = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * dim), min_size=1, max_size=40))
+        x = np.array(rows, dtype=float).reshape(-1, dim)
+        negative_zero = np.array(draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size))).reshape(x.shape)
+        x = np.where((x == 0.0) & negative_zero, -0.0, x)
+        factors.append(FiniteMeasure(x, np.ones(x.shape[0])).points)
+    return factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(_canonical_integer_factors(), st.integers(1, 64), st.integers(0, 2**32 - 1))
+@example([np.arange(30.0)[:, None], np.arange(-0.0, 30.0)[:, None]], 7, 0)  # a group of 30 pairs over 5 blocks
+@example([np.array([[-0.0, 1.0], [2.0, -3.0]]), np.array([[-0.0, -0.0], [1.0, 2.0], [1.0, 3.0]])], 1, 1)
+def test_row_cell_plans_are_the_quantized_plan(factors, block, seed):
+    # canonical factors take the counting sort and keep each pair's row cell: decoded through the cells, the plan
+    # is the quantized build's, and its replays and points are the quantized ones bit for bit, in blocks of `block`
+    a, b = factors
+    assert _counted(a, b)
+    rng = np.random.default_rng(seed)
+    p, q = rng.random(a.shape[0]) / 3.0, rng.random(b.shape[0]) / 7.0
+    ref = _quantized_plan(a, b)
+    with mock.patch.object(measures, "BLOCK", block):
+        plan = MergePlan.of_sums(a, b)
+        merged = plan.merge_products(p, q)
+        points = replace(plan, points=None).sum_points(a, b)
+    assert plan.cells is not None and _plans_equal(plan, ref)
+    products = np.outer(p, q).ravel()[_effective_order(plan)]
+    assert merged.tobytes() == np.add.reduceat(products, plan.starts).tobytes()
+    assert points.tobytes() == ref.points.tobytes() and points.shape == ref.points.shape
 
 
 def test_a_plan_merges_only_weights_of_its_input_points():
@@ -521,11 +615,11 @@ def test_uint16_sum_steps_keep_no_int64_index_per_pair(key, n, monkeypatch):
 
 
 @pytest.mark.parametrize("key, n", [("binomial", 1024), ("categorical", 128)])
-def test_uint16_sum_steps_keep_only_their_int32_order(key, n, monkeypatch):
-    # the same steps make the pairs' cells a block at a time: beside the int32 order (4 bytes per pair) they
-    # keep only block-sized buffers and the per-cell counts, under 1 byte per pair on binomial's 1.05M-pair step
+def test_uint16_sum_steps_keep_only_their_row_cells(key, n, monkeypatch):
+    # the same steps make the pairs' keys a block at a time: beside the uint16 row cells (2 bytes per pair) they
+    # keep only block-sized buffers and the per-cell counts, about 1.3 bytes per pair on binomial's 1.05M-pair step
     large = _sum_step_costs(key, n, monkeypatch)
-    assert all(cost < 5.0 for cost in large.values()), large
+    assert all(cost < 3.5 for cost in large.values()), large
 
 
 @pytest.mark.parametrize(
@@ -539,13 +633,19 @@ def test_uint16_sum_steps_keep_only_their_int32_order(key, n, monkeypatch):
     ],
 )
 def test_integer_cells_take_the_narrowest_type_and_never_wrap(top, dtype):
-    a = np.array([[0.0] * len(top), top])
-    b = np.array([[0.0] * len(top), [-0.0] * len(top)])
-    cells = _pair_cells(a, b)
+    # b repeats a point (0.0 and -0.0), so its cells do not rise and even uint16 cells take argsort; the canonical
+    # factors span the same grid, and their uint16 cells alone take the counting sort
+    below = [t - 1.0 for t in top]
+    repeated = (np.array([[0.0] * len(top), top]), np.array([[0.0] * len(top), [-0.0] * len(top)]))
+    canonical = (np.array([[0.0] * len(top), below]), np.array([[-0.0] * len(top), [1.0] * len(top)]))
     grid = math.prod(int(t) + 1 for t in top)
-    assert cells.dtype == dtype
-    assert int(cells.min()) == 0 and int(cells.max()) == grid - 1
-    assert _plans_equal(derived._sum_plan(a, b, derived.SUPPORT_CAP), _quantized_plan(a, b))
+    for (a, b), counted in ((repeated, False), (canonical, dtype == np.uint16)):
+        cells = _pair_cells(a, b)
+        assert cells.dtype == dtype
+        assert int(cells.min()) == 0 and int(cells.max()) == grid - 1
+        plan = derived._sum_plan(a, b, derived.SUPPORT_CAP)
+        assert (plan.cells is not None) == counted
+        assert _plans_equal(plan, _quantized_plan(a, b))
 
 
 @pytest.mark.parametrize(
@@ -554,12 +654,17 @@ def test_integer_cells_take_the_narrowest_type_and_never_wrap(top, dtype):
     [([65_533.0], True), ([253.0, 253.0], True), ([65_534.0], False), ([2.0**32], False)],
 )
 def test_uint16_cells_sort_by_counting_in_blocks(top, counted, monkeypatch):
-    # 30 pairs in blocks of 4: uint16 cells are sorted a block at a time, wider cells by one argsort of them all
-    assert measures.BLOCK <= 1 << 16  # a uint16 cell and a position in a block pack into 32 bits
-    a = np.array([[0.0] * len(top), [1.0] * len(top), [2.0] * len(top), [1.0] * len(top), top])
-    b = np.array([[v] * len(top) for v in (0.0, -0.0, 1.0, 0.0, 1.0, 0.0)])
-    ref = _quantized_plan(a, b)
-    assert (_pair_cells(a, b).dtype == np.uint16) == counted
+    # 30 pairs in blocks of 4: uint16 cells of canonical factors are sorted a block at a time, and wider cells, or
+    # factors with a repeated point, by one argsort of them all. The canonical factors, 15 and 2 points, span the
+    # same grid as the 5 and 6 points that repeat some
+    repeated = (
+        np.array([[0.0] * len(top), [1.0] * len(top), [2.0] * len(top), [1.0] * len(top), top]),
+        np.array([[v] * len(top) for v in (0.0, -0.0, 1.0, 0.0, 1.0, 0.0)]),
+    )
+    canonical = (
+        np.array([[float(v)] * len(top) for v in range(14)] + [top]),
+        np.array([[-0.0] * len(top), [1.0] * len(top)]),
+    )
     sizes = {"argsort": [], "sort": []}
 
     def spy(name):
@@ -568,9 +673,16 @@ def test_uint16_cells_sort_by_counting_in_blocks(top, counted, monkeypatch):
 
     spy("argsort")
     spy("sort")
-    monkeypatch.setattr(measures, "BLOCK", 4)
-    assert _plans_equal(derived._sum_plan(a, b, derived.SUPPORT_CAP), ref)
-    assert sizes == ({"argsort": [], "sort": [4] * 7 + [2]} if counted else {"argsort": [30], "sort": []})
+    for (a, b), sorted_by_counting in ((repeated, False), (canonical, counted)):
+        ref = _quantized_plan(a, b)
+        assert (_pair_cells(a, b).dtype == np.uint16) == counted
+        sizes["argsort"].clear()
+        sizes["sort"].clear()
+        with mock.patch.object(measures, "BLOCK", 4):
+            plan = derived._sum_plan(a, b, derived.SUPPORT_CAP)
+        assert _plans_equal(plan, ref) and (plan.cells is not None) == sorted_by_counting
+        expected = {"argsort": [], "sort": [4] * 7 + [2]} if sorted_by_counting else {"argsort": [30], "sort": []}
+        assert sizes == expected
 
 
 def _bitwise_equal(p, q):
@@ -636,6 +748,16 @@ def test_store_plans_of_a_quadrature_q3_keep_no_sum_points():
     nef_distribution(f, f.theta_grid[0], 3)
     arrays = [a for plan in derived._store.plans.values() for a in (plan.points, plan.order, plan.starts)]
     assert sum(a.nbytes for a in arrays if a is not None) < 39e6
+
+
+def test_store_plans_of_a_binomial_q1024_keep_row_cells():
+    # binomial's Q_1024 ladder kept 21.5 MiB of plans with an int32 index per pair; a uint16 row cell halves them
+    f = make_family("binomial")
+    for n in (1, 4, 16, 64, 256, 1024):
+        nef_distribution(f, f.theta_grid[1], n)
+    plans = derived._store.plans.values()
+    arrays = [a for plan in plans for a in (plan.points, plan.order, plan.starts, *(plan.cells or ()))]
+    assert sum(a.nbytes for a in arrays if a is not None) < 11.5 * 2**20
 
 
 def test_nef_distribution_separates_family_objects():
