@@ -20,39 +20,38 @@ sorts are stable, so the plan is the same bit for bit. ``MergePlan.of_sums``
 plans the pairwise sums of two point arrays this way when it can: the cell
 of a sum is the sum of its factors' cells. Cells of a grid of at most 65,535
 are uint16; when each factor's cells rise strictly, as those of a canonical
-support do, they take a counting sort (``_counted_groups``) that makes
-them a block at a time from the factors' cells. A cell then holds at most
-one pair of each row, so its pairs in input order are its pairs by row
-cell, and a pair is its row cell and its group's cell: the plan keeps a
-uint16 row cell per pair in ``order``, not an int32 input position, and
-neither an array of the pairs' cells nor an int64 index per pair is made.
-Other uint16 cells take ``argsort`` as wider ones do. (N, 1)
-points that never decrease are not sorted at all: quantization is
-monotone, so their keys never decrease either, and a stable sort of them is
-the identity. ``MergePlan.build`` then keeps no ``order``, and a merge sums
-the weights where they lie. Every 1/n rescale of a canonical 1-D support
-and every push-forward of one by an increasing affine map is such a list.
+support do, the pairs of one row fall in distinct cells, so
+``_counted_groups`` places the rows one at a time, in input order, each pair
+at its cell's next free slot: a counting sort with no key per pair and no
+sort. A cell then lists its pairs by row, as a stable sort does, and a pair
+is its row cell and its group's cell: the plan keeps a uint16 row cell per
+pair in ``order``, not an int32 input position, and neither an array of the
+pairs' cells nor an int64 index per pair is made. Other uint16 cells take
+``argsort`` as wider ones do. (N, 1) points that never decrease are not
+sorted at all: quantization is monotone, so their keys never decrease
+either, and a stable sort of them is the identity. ``MergePlan.build`` then
+keeps no ``order``, and a merge sums the weights where they lie. Every 1/n
+rescale of a canonical 1-D support and every push-forward of one by an
+increasing affine map is such a list.
 
 Canonicalization works in blocks of ``BLOCK`` points: ``quantize``, the key
-comparisons that find where groups start, the counting sort of uint16
-cells, the quantized keys of pairwise sums (one block of rows of the first
-factor at a time) and the merges of a plan (whole groups gathered, or
-sliced where they lie, and summed together; the weight products of a sum
-step formed per block, on a plan of row cells from each factor's weights
-laid over its cells, gathered by row cell and by column cell, the group's
-cell less the row cell: the same products in the same order). Only
-elementwise work, integer counts, ``reduceat`` over whole groups and
+comparisons that find where groups start, the quantized keys of pairwise
+sums (one block of rows of the first factor at a time) and the merges of a
+plan (whole groups gathered, or sliced where they lie, and summed together;
+the weight products of a sum step formed per block, on a plan of row cells
+from each factor's weights laid over its cells, gathered by row cell and by
+column cell, the group's cell less the row cell: the same products in the
+same order). Only elementwise work, ``reduceat`` over whole groups and
 ``max`` are split, because each gives the same bits in blocks. ``np.sum``
-and float ``cumsum`` keep their whole operand arrays, because their
-rounding depends on the whole array; a matmul keeps its shape, because a
-different shape can round differently. So the (pairs, m) array of the sums
-and a weight per pair are never made: of the arrays as long as the list of
-pairs, the plan's ``order`` stays, and only the sort keys of the ``argsort``
-and ``lexsort`` routes exist for a while. ``quantize``, the counting sort and
-the merges keep a block's temporaries in buffers made once per call and
-written with ``out=``: that moves where a value is written, not how it is
-computed, and the blocks stay the same runs of input in the same order, so
-no bit moves.
+and float ``cumsum`` keep their whole operand arrays, because their rounding
+depends on the whole array; a matmul keeps its shape, because a different
+shape can round differently. So the (pairs, m) array of the sums and a
+weight per pair are never made: of the arrays as long as the list of pairs,
+the plan's ``order`` stays, and only the sort keys of the ``argsort`` and
+``lexsort`` routes exist for a while. ``quantize`` and the merges keep a
+block's temporaries in buffers made once per call and written with ``out=``:
+that moves where a value is written, not how it is computed, and the blocks
+stay the same runs of input in the same order, so no bit moves.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ def _sum_cells(a: np.ndarray, b: np.ndarray):
     The cell of a sum a_i + b_j is the cell of a_i plus the cell of b_j, in
     the key order of the sums, so the two short vectors number every pair.
     They take the type of the sums' cells: uint16 up to 65,535 cells, which
-    ``_counted_groups`` sorts by counting when each vector rises strictly,
+    ``_counted_groups`` places row by row when each vector rises strictly,
     uint32 up to 2**32 and int64 beyond. None, for the quantized route, unless every point and every sum
     is ``integer_keyed`` and the grid fits int64.
     """
@@ -200,62 +199,30 @@ def _groups(make_keys):
 def _counted_groups(ca: np.ndarray, cb: np.ndarray):
     """Row cells, group starts and (ca, cb, group cells) of the pairwise sums of strictly increasing uint16 cells.
 
-    The pairs are flattened over (i, j), and sorted stably by their cells
-    ca_i + cb_j by counting. A block's uint32 keys (ca_i + cb_j) * 2**16 + ca_i
-    carry no bit across their halves, as the grid has at most 65,535 cells.
-    They are made in one buffer, made per call, from the rows of ca that the
-    block spans, as ca_i * 2**16 + ca_i plus cb_j * 2**16: no array of all
-    the pairs' keys exists. The cells of each factor are distinct, so every
-    pair has its own key: any sort of them is stable, and it lists a cell's
-    pairs by row, which is input order. First the cells alone are counted, a
-    block at a time, in as many bins as the largest cell needs. Then each
-    block, in input order, is made again and sorted, and the low halves of
-    its keys, the row cells, go to their cells' next free slots: the k-th
-    sorted pair goes to slot k plus, for its cell, the cell's next free slot
-    less where its run starts in the block, looked up once per run. So the
-    order is ``argsort``'s, written as row cells. Beside the uint16 order a
-    step holds the buffer, a block's sorted keys, an ``arange`` and a mask as
-    long as a block, and per-cell counts.
+    The pairs are flattened over (i, j) and sorted stably by their cells ca_i +
+    cb_j, by counting a row at a time: cb rises strictly, so a row's pairs fall
+    in distinct cells, laid out as cb from the row's cell ca_i. Each row adds
+    one at its cells, first to count them, then, in input order, to move their
+    next free slots past the row cell ca_i it writes there. So a cell lists its
+    pairs by row, as a stable ``argsort`` does, and no key or sort is made.
+    Beside the uint16 order a step holds per-cell counts and free slots.
     """
-    nb, total = cb.shape[0], ca.shape[0] * cb.shape[0]
-    index = _index_type(total)
-    size = int(ca[-1]) + int(cb[-1]) + 1
-    width = min(BLOCK, total)
-    rows = min(ca.shape[0], width // nb + 2) * nb  # pairs in the rows of ca that a block spans, at most
-    buffer = np.empty(max(width, -(-rows // 2)), dtype=np.intp)  # a block's rows' uint32 keys, or its intp slots
-    ascending, fresh = np.arange(width, dtype=np.intp), np.ones(width, dtype=bool)  # fresh: where a run starts
-    wide_a = ca.astype(np.uint32)
-    keyed_a, keyed_b = (wide_a << 16) | wide_a, cb.astype(np.uint32) << 16
-
-    def made(x, y, start):
-        """The sums x_i + y_j of the block of pairs at start, made in the buffer from the rows of x it spans."""
-        top, stop = start // nb, min(start + BLOCK, total)
-        flat = buffer.view(x.dtype)
-        grid = flat[:(-(-stop // nb) - top) * nb].reshape(-1, nb)
-        np.add(x[top:top + grid.shape[0], None], y, out=grid)
-        return flat[start - top * nb:stop - top * nb]
-
-    counts = np.zeros(size, dtype=np.intp)
-    for start in range(0, total, BLOCK):
-        counts += np.bincount(made(ca, cb, start), minlength=size)
+    total = ca.shape[0] * cb.shape[0]
+    span = int(cb[-1]) + 1
+    column = cb.astype(np.intp)
+    row = np.zeros(span, dtype=np.intp)
+    row[column] = 1  # a row's pairs, laid over the cells from its row cell
+    counts = np.zeros(int(ca[-1]) + span, dtype=np.intp)
+    for c in ca.tolist():
+        counts[c:c + span] += row
     free = np.cumsum(counts) - counts  # each cell's next free slot in the order
     occupied = np.flatnonzero(counts)
-    starts = free[occupied].astype(index)
-    shift = counts  # per cell: its next free slot less where its run starts in a block
+    starts = free[occupied].astype(_index_type(total))
     order = np.empty(total, dtype=np.uint16)
-    for start in range(0, total, BLOCK):
-        ranked = np.sort(made(keyed_a, keyed_b, start))
-        slot = buffer[:ranked.shape[0]]
-        np.right_shift(ranked, 16, out=slot)  # the block's cells, sorted
-        np.not_equal(slot[1:], slot[:-1], out=fresh[1:slot.shape[0]])
-        runs = np.flatnonzero(fresh[:slot.shape[0]])
-        cell = slot[runs]
-        shift[cell] = free[cell] - runs
-        free[cell] += np.diff(runs, append=slot.shape[0])
-        np.take(shift, slot, out=slot, mode="clip")  # in place: take reads each index before it writes there
-        slot += ascending[:slot.shape[0]]
-        order[slot] = ranked  # the cast keeps a key's low half: its row cell
-        del ranked  # before the next block's keys are sorted
+    for c in ca.tolist():  # in input order, so a cell lists its pairs by row
+        slots = free[c:c + span]
+        order[slots[column]] = c
+        slots += row
     return _frozen(order), _frozen(starts), (_frozen(ca), _frozen(cb), _frozen(occupied.astype(np.uint16)))
 
 
@@ -281,17 +248,18 @@ class MergePlan:
     in key order), ``order`` the sort of the input and ``starts`` where each
     group begins in it (int32 below 2**31 input points). ``inputs`` is the
     shape of the weights the plan merges: (N,), or (len(a), len(b)) for the
-    pairwise sums of a and b. ``merge(weights)`` sums weights given in input
-    order over those groups: the float work of a fresh canonicalization, in
-    the same order, so a measure built from a plan is bitwise identical to
-    one built from the points. (N, 1) points that never decrease are in key
-    order already: their plan keeps ``order`` None and merges the weights
-    where they lie. A plan with ``starts`` None too keeps points that are
-    canonical already; ``support`` of a measure gives one. Pass a plan as the
+    pairwise sums of a and b. ``merge(weights)`` sums (N,) weights given in
+    input order over those groups (a plan of sums merges only the products
+    p_i q_j, by ``merge_products``): the float work of a fresh
+    canonicalization, in the same order, so a measure built from a plan is
+    bitwise identical to one built from the points. (N, 1) points that never
+    decrease are in key order already: their plan keeps ``order`` None and
+    merges the weights where they lie. A plan with ``starts`` None too keeps
+    points that are canonical already; ``support`` of a measure gives one. Pass a plan as the
     ``points`` of a measure to build it without sorting. A plan of sums that
     no measure is built on may keep ``points`` None: it still merges, and
     ``sum_points`` makes the points again from the two factors'. A plan of
-    sums sorted by counting (``of_sums``) keeps in ``order`` the uint16 row
+    sums placed row by row (``of_sums``) keeps in ``order`` the uint16 row
     cell ca_i of each pair in place of its position i * nb + j, and in
     ``cells`` the factors' strictly increasing cells ca and cb and the cell
     of each group; the pair's column cell cb_j is its group's cell less
@@ -329,7 +297,7 @@ class MergePlan:
         Equal to ``build`` of the sums, which are never made: the keys are
         the integer cells of ``_sum_cells`` when it gives them, else the
         quantized sums of ``_quantized_sum_keys``, and only the canonical sums
-        are made. A plan sorted by counting keeps row cells in ``order``,
+        are made. A plan placed row by row keeps row cells in ``order``,
         which its ``cells`` turn into ``build``'s positions.
         """
         cells, grid = _sum_cells(a, b), None
@@ -362,8 +330,9 @@ class MergePlan:
 
         With ``starts`` None they are the weights themselves: a read-only
         float64 array that owns its data is returned as it is, any other is
-        copied and frozen. Weights of any other length than the plan's input
-        raise ValueError, as ``_reduce`` raises.
+        copied and frozen. Weights of any other shape than the plan's inputs
+        raise ValueError, as ``_reduce`` raises: so do a plan of sums' flat
+        weights, whose merge is ``merge_products``.
         """
         w = np.asarray(weights, dtype=float)
         if self.starts is None:
@@ -386,15 +355,14 @@ class MergePlan:
         the input at once. With ``order`` None a block is a slice of p;
         otherwise its values are gathered. A plan of row cells gathers p_i and
         q_j by row cell and column cell from the factors' weights laid over
-        their cells, once per call; its flat weights, by the positions i * nb
-        + j that the cells give. A block's positions, rows and
-        gathered values go to three buffers made once per call, as long as
-        its longest block (longer than ``BLOCK`` when a group is), and a
-        buffer whose values are used takes the next ones. The positions are
-        intp, which numpy would otherwise make of the int32 or uint16 order
-        at every gather. Weights of any other length than the plan's input, and
-        factors of any other lengths than its own, raise ValueError, so every
-        gathered index is in range.
+        their cells, once per call. A block's positions, rows and gathered
+        values go to three buffers made once per call, as long as its longest
+        block (longer than ``BLOCK`` when a group is), and a buffer whose
+        values are used takes the next ones. The positions are intp, which
+        numpy would otherwise make of the int32 or uint16 order at every
+        gather. Values of any other shape than the plan's inputs raise
+        ValueError (flat weights of a plan of sums too), so every gathered
+        index is in range.
         """
         self._check_lengths(p.shape[:1] if q is None else (p.shape[0], q.shape[0]))
         groups, total = self.starts.shape[0], math.prod(self.inputs)
@@ -410,8 +378,7 @@ class MergePlan:
         if self.cells is not None:
             ca, cb, occupied = self.cells
             sizes = np.diff(self.starts, append=total)
-            if q is not None:  # each factor's weights at its cells, zero between them
-                p, q = _dense(ca, p), _dense(cb, q)
+            p, q = _dense(ca, p), _dense(cb, q)  # each factor's weights at its cells, zero between them
         out = np.empty(groups)
         for lo, hi, first, last in spans:
             if self.order is None:
@@ -421,8 +388,6 @@ class MergePlan:
                 if self.cells is not None:  # the row cells, and the column cells: their group's cell less them
                     np.copyto(row, self.order[first:last])
                     np.subtract(np.repeat(occupied[lo:hi], sizes[lo:hi]), row, out=at)
-                    if q is None:  # the input positions i * nb + j
-                        np.add(np.searchsorted(ca, row) * cb.shape[0], np.searchsorted(cb, at), out=at)
                 else:
                     np.copyto(at, self.order[first:last])
                 if q is None:
@@ -443,8 +408,8 @@ class MergePlan:
         return _frozen(out)
 
     def _check_lengths(self, lengths: tuple) -> None:
-        """ValueError unless the weights' lengths are the plan's inputs, or their product."""
-        if lengths not in (self.inputs, (math.prod(self.inputs),)):
+        """ValueError unless the weights' lengths are the plan's inputs: a sum plan merges only products."""
+        if lengths != self.inputs:
             raise ValueError("weights must be given at each input point of the plan")
 
 

@@ -397,7 +397,6 @@ def test_blocks_change_no_bits(block, dim, lattice):
             plan = MergePlan.of_sums(a, b)
             assert _plans_equal(plan, ref_plan) and _plans_equal(_quantized_plan(a, b), ref_plan)
             assert plan.merge_products(p, q).tobytes() == ref_merge.tobytes()
-            assert plan.merge(np.outer(p, q).reshape(-1)).tobytes() == ref_merge.tobytes()
         routes.append(plan.cells is not None)
     assert routes == ([False, True] if lattice else [False])  # the canonical lattice factors alone are counted
 
@@ -425,8 +424,8 @@ def test_blocks_change_no_bits(block, dim, lattice):
     ids=["rows-longer-than-a-block", "one-group-of-many-blocks"],
 )
 def test_counted_blocks_change_no_bits(a, b, canonical, long_rows, block):
-    # uint16 cells made a block at a time from the factors, and replays into buffers as long as the longest block:
-    # factors with repeated points take argsort, and canonical ones the counting sort
+    # blocks that start inside a row, and replays into buffers as long as the longest block: factors with repeated
+    # points take argsort, and canonical ones the counting sort
     for (a, b), counted in (((a, b), False), (canonical, True)):
         pairs = a.shape[0] * b.shape[0]
         p = np.linspace(0.5, 2.0, a.shape[0]) / 3.0
@@ -442,7 +441,6 @@ def test_counted_blocks_change_no_bits(a, b, canonical, long_rows, block):
             assert (plan.cells is not None) == counted
             assert _plans_equal(plan, ref_plan)
             assert plan.merge_products(p, q).tobytes() == ref_merge.tobytes()
-            assert plan.merge(np.outer(p, q).reshape(-1)).tobytes() == ref_merge.tobytes()
 
 
 @st.composite
@@ -463,6 +461,9 @@ def _canonical_integer_factors(draw):
 @given(_canonical_integer_factors(), st.integers(1, 64), st.integers(0, 2**32 - 1))
 @example([np.arange(30.0)[:, None], np.arange(-0.0, 30.0)[:, None]], 7, 0)  # a group of 30 pairs over 5 blocks
 @example([np.array([[-0.0, 1.0], [2.0, -3.0]]), np.array([[-0.0, -0.0], [1.0, 2.0], [1.0, 3.0]])], 1, 1)
+@example([np.array([[-0.0], [2.0], [5.0]]), np.array([[3.0]])], 2, 2)  # one column cell: rows of span 1
+# a's cells 0, 9 and 99 lie further apart than b's span of 2 cells, so no two rows share a cell
+@example([np.array([[0.0, 0.0], [0.0, 9.0], [9.0, -0.0]]), np.array([[-0.0, 0.0], [0.0, 1.0]])], 3, 3)
 def test_row_cell_plans_are_the_quantized_plan(factors, block, seed):
     # canonical factors take the counting sort and keep each pair's row cell: decoded through the cells, the plan
     # is the quantized build's, and its replays and points are the quantized ones bit for bit, in blocks of `block`
@@ -482,9 +483,14 @@ def test_row_cell_plans_are_the_quantized_plan(factors, block, seed):
 
 
 def test_a_plan_merges_only_weights_of_its_input_points():
+    # a plan of sums merges the products of its factors' weights alone: flat weights raise, even of the right count
     plan = MergePlan.of_sums(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0], [2.0]]))
+    repeated = MergePlan.of_sums(np.array([[0.0], [0.0]]), np.array([[0.0], [1.0], [2.0]]))  # takes argsort
+    assert plan.cells is not None and repeated.cells is None and repeated.order.dtype == np.int32
     for merge in (
         lambda: plan.merge(np.ones(5)),
+        lambda: plan.merge(np.ones(6)),  # row cells
+        lambda: repeated.merge(np.ones(6)),  # int32 input positions
         lambda: plan.merge_products(np.ones(2), np.ones(2)),
         lambda: plan.merge_products(np.ones(3), np.ones(2)),  # 6 products, but of factors in swapped lengths
         lambda: FiniteMeasure([0, 1, 2], np.ones(3) / 3).support.merge(np.ones(5)),  # a plan with no starts
@@ -616,10 +622,10 @@ def test_uint16_sum_steps_keep_no_int64_index_per_pair(key, n, monkeypatch):
 
 @pytest.mark.parametrize("key, n", [("binomial", 1024), ("categorical", 128)])
 def test_uint16_sum_steps_keep_only_their_row_cells(key, n, monkeypatch):
-    # the same steps make the pairs' keys a block at a time: beside the uint16 row cells (2 bytes per pair) they
-    # keep only block-sized buffers and the per-cell counts, about 1.3 bytes per pair on binomial's 1.05M-pair step
+    # the same steps place the pairs row by row: beside the uint16 row cells (2 bytes per pair) they keep only
+    # per-cell counts and free slots and a row's cells, about 0.1 bytes per pair on binomial's 1.05M-pair step
     large = _sum_step_costs(key, n, monkeypatch)
-    assert all(cost < 3.5 for cost in large.values()), large
+    assert all(cost < 2.5 for cost in large.values()), large
 
 
 @pytest.mark.parametrize(
@@ -653,8 +659,8 @@ def test_integer_cells_take_the_narrowest_type_and_never_wrap(top, dtype):
     # grids of 65,535 and 255^2 cells (uint16), 65,536 (uint32) and 2^32 + 2 (int64)
     [([65_533.0], True), ([253.0, 253.0], True), ([65_534.0], False), ([2.0**32], False)],
 )
-def test_uint16_cells_sort_by_counting_in_blocks(top, counted, monkeypatch):
-    # 30 pairs in blocks of 4: uint16 cells of canonical factors are sorted a block at a time, and wider cells, or
+def test_uint16_cells_of_canonical_factors_are_placed_without_a_sort(top, counted, monkeypatch):
+    # 30 pairs: uint16 cells of canonical factors are placed row by row, with no sort at all, and wider cells, or
     # factors with a repeated point, by one argsort of them all. The canonical factors, 15 and 2 points, span the
     # same grid as the 5 and 6 points that repeat some
     repeated = (
@@ -665,24 +671,22 @@ def test_uint16_cells_sort_by_counting_in_blocks(top, counted, monkeypatch):
         np.array([[float(v)] * len(top) for v in range(14)] + [top]),
         np.array([[-0.0] * len(top), [1.0] * len(top)]),
     )
-    sizes = {"argsort": [], "sort": []}
+    sizes = {"argsort": [], "sort": [], "lexsort": []}
 
     def spy(name):
         sort = getattr(np, name)
         monkeypatch.setattr(np, name, lambda keys, **kw: sizes[name].append(len(keys)) or sort(keys, **kw))
 
-    spy("argsort")
-    spy("sort")
-    for (a, b), sorted_by_counting in ((repeated, False), (canonical, counted)):
+    for name in sizes:
+        spy(name)
+    for (a, b), placed in ((repeated, False), (canonical, counted)):
         ref = _quantized_plan(a, b)
         assert (_pair_cells(a, b).dtype == np.uint16) == counted
-        sizes["argsort"].clear()
-        sizes["sort"].clear()
-        with mock.patch.object(measures, "BLOCK", 4):
-            plan = derived._sum_plan(a, b, derived.SUPPORT_CAP)
-        assert _plans_equal(plan, ref) and (plan.cells is not None) == sorted_by_counting
-        expected = {"argsort": [], "sort": [4] * 7 + [2]} if sorted_by_counting else {"argsort": [30], "sort": []}
-        assert sizes == expected
+        for calls in sizes.values():
+            calls.clear()
+        plan = derived._sum_plan(a, b, derived.SUPPORT_CAP)
+        assert _plans_equal(plan, ref) and (plan.cells is not None) == placed
+        assert sizes == {"argsort": [] if placed else [30], "sort": [], "lexsort": []}
 
 
 def _bitwise_equal(p, q):
