@@ -29,10 +29,13 @@ n = 3); that one makes them again from the factors' points as
 ``MergePlan.of_sums`` made them (``MergePlan.sum_points``), bit for bit. A
 request for another family or cap drops the store, and one at another theta
 its sums and means, before anything is built. A plan holds, per input
-point or pair, an int32 position, or a uint16 row cell on the counting
-route of the lattice families, and none for a 1/n rescale of 1-D points;
-its canonical points, which the measures built on it share, take 8 bytes
-a coordinate, and the group starts 4 bytes a point. ``Q_1^{*m}`` is
+point or pair, an int32 position (a sort of points), a uint16 row cell on
+the row-placement route of the lattice families, a uint16 rank in its
+bucket on the bucket route of the quadrature families (int32 when a bucket
+holds more than 65,536 pairs, or when the plan is one bucket), and none for
+a 1/n rescale of 1-D points; its canonical points, which the measures built
+on it share, take 8 bytes a coordinate, and the group starts 4 bytes a
+point. ``Q_1^{*m}`` is
 always composed from the low bits of m up, in the order of a cold
 binary-exponentiation build, and a plan replays the float work of the sort
 it recorded, so a reused or replayed result is bitwise identical to a fresh
@@ -189,10 +192,12 @@ class _QnStore:
             weights = self._weights(n)
             plan = self.plans.get(n)
             if plan is None:
-                plan = self.plans[n] = MergePlan.build(self._points(n) / n)
+                points = self._points(n) / n
                 a, b = _steps(n)
                 if a != b:  # a sum not kept: only a later cold plan reads its points, and makes them again
-                    self.plans[(a, b)] = replace(self.plans[(a, b)], points=None)
+                    self.plans[(a, b)] = replace(self.plans[(a, b)], points=None)  # freed before Q_n is planned
+                plan = self.plans[n] = MergePlan.build(points)
+                del points  # the plan keeps its canonical points only: freed before the measure is built
             qn = self.means[n] = FiniteMeasure(plan, weights)
         return qn
 

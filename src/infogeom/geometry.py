@@ -11,6 +11,12 @@ Candidate functionals other than the Fisher one are first-class values so
 the invariance suite can quantify over them. The invariant form integrates
 the product of two Radon-Nikodym derivatives against their shared base, the
 chart-free Fisher inner product of two tangent pairs.
+
+The integrands of the invariant form and of the Fisher functional are
+written into one array, a block of ``measures.BLOCK`` points at a time, and
+summed whole: elementwise products give the same bits in blocks, and
+``np.sum`` keeps the whole array, so the values are the whole-array
+expressions' bit for bit, without their support-length temporaries.
 """
 
 from __future__ import annotations
@@ -22,16 +28,16 @@ from typing import Callable
 import numpy as np
 
 from .expfam import ExpFamily, TangentCoord, cov_statistic, model_tangent, require_shared_base
-from .measures import FiniteMeasure, TangentPair, radon_nikodym
+from .measures import BLOCK, FiniteMeasure, TangentPair, continuous_weights, density
 
 
 @dataclass(frozen=True, eq=False)
 class NormFunctional:
     """Norm-like functional H(P, f P) on base-measure/function pairs.
 
-    ``finite_fn(weights, values)`` evaluates on finite supports;
-    ``gauss_fn(coeff)`` is the closed form on the standard normal with
-    linear f(y) = coeff . y.
+    ``finite_fn(weights, values)`` evaluates on finite supports, and may
+    overwrite ``values``, an array it is given to own; ``gauss_fn(coeff)``
+    is the closed form on the standard normal with linear f(y) = coeff . y.
     """
 
     finite_fn: Callable[[np.ndarray, np.ndarray], float]
@@ -45,18 +51,23 @@ class NormFunctional:
         return float(self.finite_fn(base.weights, base.points @ c))
 
     def eval_values(self, base: FiniteMeasure, values) -> float:
-        """Evaluate with precomputed per-point values (finite supports only)."""
-        v = np.asarray(values, dtype=float).reshape(-1)
+        """Evaluate with precomputed per-point values (finite supports only), given to ``finite_fn`` as a copy."""
+        v = np.array(values, dtype=float).reshape(-1)
         if v.shape[0] != base.size:
             raise ValueError("values must align with the support")
         return float(self.finite_fn(base.weights, v))
 
 
+def _fisher_fn(w: np.ndarray, v: np.ndarray) -> float:
+    """sqrt(sum of (w v) v), the products written over v a block at a time and summed whole."""
+    for start in range(0, v.shape[0], BLOCK):
+        vb = v[start:start + BLOCK]
+        vb *= w[start:start + BLOCK] * vb
+    return math.sqrt(float(np.sum(v)))
+
+
 # H(P, f) = sqrt(integral f^2 dP); equals ||c|| on standardized P with f = c . y
-FISHER = NormFunctional(
-    finite_fn=lambda w, v: math.sqrt(float(np.sum(w * v * v))),
-    gauss_fn=lambda c: float(np.linalg.norm(c)),
-)
+FISHER = NormFunctional(finite_fn=_fisher_fn, gauss_fn=lambda c: float(np.linalg.norm(c)))
 
 
 def scaled_norm_functional(base: NormFunctional, alpha: float) -> NormFunctional:
@@ -78,8 +89,13 @@ def l1_perturbed_norm_functional(eps: float = 0.1) -> NormFunctional:
     residual detects.
     """
     e = float(eps)
+
+    def finite_fn(w, v):
+        l1 = e * float(np.sum(w * np.abs(v)))  # before the Fisher part overwrites v
+        return FISHER.finite_fn(w, v) + l1
+
     return NormFunctional(
-        finite_fn=lambda w, v: FISHER.finite_fn(w, v) + e * float(np.sum(w * np.abs(v))),
+        finite_fn=finite_fn,
         gauss_fn=lambda c: float(np.linalg.norm(c)) * (1.0 + e * math.sqrt(2.0 / math.pi)),
     )
 
@@ -111,10 +127,18 @@ def invariant_form(pair_u: TangentPair, pair_v: TangentPair) -> float:
     """Invariant inner product integral (dA/dP)(dB/dP) dP of two tangent pairs at one base P.
 
     P is ``pair_u.base``; ``pair_v`` must sit at the same distribution (its
-    direction is differentiated against P).
+    direction is differentiated against P). Both directions are checked as
+    ``radon_nikodym`` checks them; w (dA/dP)(dB/dP) is then written into one
+    array a block at a time, by ``radon_nikodym``'s ``density``, and summed whole.
     """
-    product = pair_u.base.weights * radon_nikodym(pair_u.direction, pair_u.base)
-    product *= radon_nikodym(pair_v.direction, pair_u.base)
+    base = pair_u.base
+    du, dv = continuous_weights(pair_u.direction, base), continuous_weights(pair_v.direction, base)
+    product = np.empty(base.size)
+    for start in range(0, base.size, BLOCK):
+        block = slice(start, start + BLOCK)
+        w = base.weights[block]
+        out = np.multiply(w, density(du[block], w), out=product[block])
+        out *= density(dv[block], w)
     return float(np.sum(product))
 
 

@@ -17,17 +17,16 @@ whose coordinates are all such integers (``integer_keyed``) may instead be
 grouped by an integer cell index that numbers them in key order: the cells
 split them into the same groups, in the same order, as the keys, and both
 sorts are stable, so the plan is the same bit for bit. ``MergePlan.of_sums``
-plans the pairwise sums of two point arrays this way when it can: the cell
-of a sum is the sum of its factors' cells. Cells of a grid of at most 65,535
-are uint16; when each factor's cells rise strictly, as those of a canonical
-support do, the pairs of one row fall in distinct cells, so
-``_counted_groups`` places the rows one at a time, in input order, each pair
-at its cell's next free slot: a counting sort with no key per pair and no
-sort. A cell then lists its pairs by row, as a stable sort does, and a pair
-is its row cell and its group's cell: the plan keeps a uint16 row cell per
-pair in ``order``, not an int32 input position, and neither an array of the
-pairs' cells nor an int64 index per pair is made. Other uint16 cells take
-``argsort`` as wider ones do. (N, 1) points that never decrease are not
+plans the pairwise sums of two point arrays without making them: the cell
+of a sum is the sum of its factors' cells, and the quantized key of a sum is
+made from the two points when it is needed. uint16 cells of factors that
+rise strictly, as a canonical support's do, are placed row by row
+(``_counted_groups``): a counting sort with no key per pair, whose plan
+keeps a uint16 row cell per pair. Any other sums are sorted in buckets of
+about ``BLOCK // 2`` pairs, split by thresholds on the key of the first
+coordinate (``_bucket_groups``): only one bucket's keys exist at a time,
+and the plan keeps a pair's rank in its bucket, uint16 when every bucket
+holds at most 65,536 pairs. (N, 1) points that never decrease are not
 sorted at all: quantization is monotone, so their keys never decrease
 either, and a stable sort of them is the identity. ``MergePlan.build`` then
 keeps no ``order``, and a merge sums the weights where they lie. Every 1/n
@@ -35,23 +34,21 @@ rescale of a canonical 1-D support and every push-forward of one by an
 increasing affine map is such a list.
 
 Canonicalization works in blocks of ``BLOCK`` points: ``quantize``, the key
-comparisons that find where groups start, the quantized keys of pairwise
-sums (one block of rows of the first factor at a time) and the merges of a
-plan (whole groups gathered, or sliced where they lie, and summed together;
-the weight products of a sum step formed per block, on a plan of row cells
-from each factor's weights laid over its cells, gathered by row cell and by
-column cell, the group's cell less the row cell: the same products in the
+comparisons that find where groups start, the keys of a bucket of pairwise
+sums (a run of whole rows at a time) and the merges of a plan (whole groups
+gathered, or sliced where they lie, and summed together; the weight products
+of a sum step formed a block or a bucket at a time, the same products in the
 same order). Only elementwise work, ``reduceat`` over whole groups and
 ``max`` are split, because each gives the same bits in blocks. ``np.sum``
 and float ``cumsum`` keep their whole operand arrays, because their rounding
 depends on the whole array; a matmul keeps its shape, because a different
 shape can round differently. So the (pairs, m) array of the sums and a
 weight per pair are never made: of the arrays as long as the list of pairs,
-the plan's ``order`` stays, and only the sort keys of the ``argsort`` and
-``lexsort`` routes exist for a while. ``quantize`` and the merges keep a
-block's temporaries in buffers made once per call and written with ``out=``:
-that moves where a value is written, not how it is computed, and the blocks
-stay the same runs of input in the same order, so no bit moves.
+only the plan's ``order`` stays, and a plan of one bucket holds its keys
+for a while. ``quantize`` and the merges keep a block's temporaries in
+buffers made once per call and written with ``out=``: that moves where a
+value is written, not how it is computed, and the blocks stay the same runs
+of input in the same order, so no bit moves.
 """
 
 from __future__ import annotations
@@ -146,7 +143,7 @@ def _sum_cells(a: np.ndarray, b: np.ndarray):
     the key order of the sums, so the two short vectors number every pair.
     They take the type of the sums' cells: uint16 up to 65,535 cells, which
     ``_counted_groups`` places row by row when each vector rises strictly,
-    uint32 up to 2**32 and int64 beyond. None, for the quantized route, unless every point and every sum
+    uint32 up to 2**32 and int64 beyond. None, for the quantized keys, unless every point and every sum
     is ``integer_keyed`` and the grid fits int64.
     """
     lo_a, lo_b = a.min(axis=0), b.min(axis=0)
@@ -164,20 +161,17 @@ def _sum_cells(a: np.ndarray, b: np.ndarray):
     return ca, cb
 
 
-def _quantized_sum_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quantized keys of the pairwise sums a_i + b_j, flattened over (i, j), made one block of a-rows at a time.
+def _sum_keys(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Keys of the sums x + y of gathered factors, written over x: integer cells' sums, or quantized float sums.
 
-    Raises the ``ValueError`` of a non-finite point if a sum is not finite.
+    Raises the ``ValueError`` of a non-finite point if a float sum is not finite.
     """
-    nb, m = b.shape
-    keys = np.empty((a.shape[0] * nb, m))
-    rows = max(1, BLOCK // nb)
-    for i in range(0, a.shape[0], rows):
-        sums = (a[i:i + rows, None, :] + b[None, :, :]).reshape(-1)
+    sums = np.add(x, y, out=x)
+    if sums.dtype.kind == "f":
         if not np.all(np.isfinite(sums)):
             raise ValueError("points and weights must be finite")
-        _quantize_into(sums, keys[i * nb:(i + rows) * nb].reshape(-1))
-    return keys
+        _quantize_into(sums.reshape(-1), sums.reshape(-1))
+    return sums
 
 
 def _groups(make_keys):
@@ -194,6 +188,98 @@ def _groups(make_keys):
     del keys
     order = order.astype(index)
     return _frozen(order), _frozen(np.flatnonzero(fresh).astype(index))
+
+
+def _runs(lo: np.ndarray, hi: np.ndarray):
+    """Runs of whole rows, about ``BLOCK`` pairs (or a row) each, of a bucket: row i's columns lo_i up to hi_i.
+
+    Yields, per run, where its pairs start among the bucket's in input order,
+    its rows (a slice), the pairs of each row and the column of each pair.
+    """
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    before = ends - counts  # the bucket's pairs in the rows before each row
+    cuts = [] if ends[-1] <= BLOCK else np.searchsorted(ends, np.arange(BLOCK, ends[-1], BLOCK), "right").tolist()
+    for r0, r1 in zip([0] + cuts, cuts + [counts.shape[0]]):
+        if r0 < r1:
+            first, rows = int(before[r0]), slice(r0, r1)
+            columns = np.repeat(lo[rows] - before[rows], counts[rows])  # each pair's column less its place
+            columns += np.arange(first, first + columns.shape[0])
+            yield first, rows, counts[rows], columns
+
+
+def _bucket_keys(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Keys of the sums of a bucket of rows i of a and columns lo_i up to hi_i of b, in input order."""
+    total, keys = int(np.sum(hi - lo, dtype=np.intp)), None
+    for first, rows, counts, columns in _runs(lo, hi):
+        part = _sum_keys(np.repeat(a[rows], counts, axis=0), b[columns])
+        if part.shape[0] == total:
+            return part
+        if keys is None:
+            keys = np.empty((total,) + part.shape[1:], dtype=part.dtype)
+        keys[first:first + part.shape[0]] = part
+    return keys
+
+
+def _bucket_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bounds of the buckets of the pairwise sums of a and b: (buckets + 1, len(a)) columns, rising down each row.
+
+    Row k holds each row's first column in bucket k, and the last row
+    len(b). A bucket holds the sums whose first coordinate's key (or cell)
+    lies from one threshold up to the next, so no run of equal keys crosses
+    a bucket edge. Where b's first coordinates never decrease, nor do the
+    keys of a row of sums (rounding is monotone), so a binary search finds
+    where each threshold splits each row. The thresholds are every
+    ``BLOCK // 2 // stride``-th of the sorted keys of every ``stride``-th
+    sum, for buckets of about ``BLOCK // 2`` sums, but never more buckets
+    than len(b). Otherwise, or with no threshold, one bucket holds every
+    sum. Empty buckets are dropped.
+    """
+    rows, nb = a.shape[0], b.shape[0]
+    fa, fb = (a, b) if a.ndim == 1 else (a[:, 0], b[:, 0])
+    thresholds = fb[:0]
+    if _nondecreasing(fb):
+        stride = max(1, BLOCK >> 8)
+        at = np.arange(0, rows * nb, stride)
+        sample = _sum_keys(fa[at // nb], fb[at % nb])
+        sample.sort()
+        every = max(1, BLOCK // 2 // stride, -(-sample.shape[0] // nb))
+        thresholds = sample[every::every, None]
+    lo = np.zeros((thresholds.shape[0], rows), dtype=np.intp)
+    hi = np.full_like(lo, nb)
+    row = np.broadcast_to(np.arange(rows), lo.shape)
+    while np.any(searching := lo < hi):
+        mid = (lo + hi) >> 1
+        below = _sum_keys(fa[row], fb[np.minimum(mid, nb - 1)]) < thresholds
+        np.copyto(lo, mid + 1, where=searching & below)
+        np.copyto(hi, mid, where=searching & ~below)
+    bounds = np.concatenate([np.zeros((1, rows), dtype=np.intp), lo, np.full((1, rows), nb)])
+    return bounds[np.concatenate([[True], np.diff(bounds.sum(axis=1)) > 0])]
+
+
+def _bucket_groups(a: np.ndarray, b: np.ndarray):
+    """Ranks, group starts and bucket bounds of the pairwise sums of (N, m) points or (N,) integer cells a and b.
+
+    Each bucket of ``_bucket_bounds`` is keyed in input order and sorted
+    stably by ``_groups``. The buckets lie in key order and no run of equal
+    keys crosses an edge, so the sorted buckets, one after another, are the
+    stable sort of all the sums. A pair keeps its rank, its place among its
+    bucket's pairs in input order: uint16 when there are several buckets
+    and none holds more than 65,536 pairs, else int32 (below 2**31 pairs).
+    The ranks of one bucket are the input positions, the order of ``build``.
+    """
+    bounds = _bucket_bounds(a, b)
+    pairs = a.shape[0] * b.shape[0]
+    index = _index_type(pairs)
+    firsts = bounds.sum(axis=1).tolist()  # where each bucket starts in the sorted order
+    sizes = np.diff(firsts)
+    order = np.empty(pairs, dtype=np.uint16 if sizes.shape[0] > 1 and sizes.max() <= 65_536 else index)
+    starts = []
+    for k, first in enumerate(firsts[:-1]):
+        ranks, fresh = _groups(lambda: _bucket_keys(a, b, bounds[k], bounds[k + 1]))
+        order[first:first + ranks.shape[0]] = ranks
+        starts.append(np.add(fresh, first, dtype=index))
+    return _frozen(order), _frozen(np.concatenate(starts)), _frozen(bounds)
 
 
 def _counted_groups(ca: np.ndarray, cb: np.ndarray):
@@ -259,12 +345,15 @@ class MergePlan:
     ``points`` of a measure to build it without sorting. A plan of sums that
     no measure is built on may keep ``points`` None: it still merges, and
     ``sum_points`` makes the points again from the two factors'. A plan of
-    sums placed row by row (``of_sums``) keeps in ``order`` the uint16 row
-    cell ca_i of each pair in place of its position i * nb + j, and in
-    ``cells`` the factors' strictly increasing cells ca and cb and the cell
-    of each group; the pair's column cell cb_j is its group's cell less
-    ca_i, and a cell's place among its factor's is the point's. Every other
-    plan keeps ``cells`` None.
+    sums keeps no position i * nb + j. Placed row by row, it keeps in
+    ``order`` the uint16 row cell ca_i of each pair, and in ``cells`` the
+    factors' cells ca and cb and the cell of each group; the pair's column
+    cell cb_j is its group's cell less ca_i, and a cell's place among its
+    factor's is the point's. Sorted in buckets, it keeps in ``order`` each
+    pair's rank in its bucket, and in ``bounds`` each row's first column in
+    each bucket (``_bucket_bounds``): a rank is a place among the bucket's
+    pairs in input order, and a bucket starts in the sorted order at the sum
+    of its bounds. Every other plan keeps ``cells`` and ``bounds`` None.
     """
 
     points: np.ndarray
@@ -272,6 +361,7 @@ class MergePlan:
     starts: Optional[np.ndarray]
     inputs: tuple
     cells: Optional[tuple] = None
+    bounds: Optional[np.ndarray] = None
 
     @classmethod
     def build(cls, points) -> "MergePlan":
@@ -294,36 +384,53 @@ class MergePlan:
     def of_sums(cls, a: np.ndarray, b: np.ndarray) -> "MergePlan":
         """Plan of the pairwise sums a_i + b_j of two (N, m) point arrays, flattened over (i, j).
 
-        Equal to ``build`` of the sums, which are never made: the keys are
-        the integer cells of ``_sum_cells`` when it gives them, else the
-        quantized sums of ``_quantized_sum_keys``, and only the canonical sums
-        are made. A plan placed row by row keeps row cells in ``order``,
-        which its ``cells`` turn into ``build``'s positions.
+        Equal to ``build`` of the sums, which are never made whole: the keys
+        are the integer cells of ``_sum_cells`` when it gives them, else the
+        quantized sums. uint16 cells of strictly increasing factors are
+        placed row by row (``_counted_groups``); any other keys are made and
+        sorted one bucket at a time (``_bucket_groups``). The plan's
+        ``cells`` or ``bounds`` turn its ``order`` into ``build``'s positions.
         """
-        cells, grid = _sum_cells(a, b), None
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        cells, grid, bounds = _sum_cells(a, b), None, None
         if cells is not None and cells[0].dtype == np.uint16 and all(np.all(c[1:] > c[:-1]) for c in cells):
             order, starts, grid = _counted_groups(*cells)
-        else:  # the wider cells of every pair at once, or the quantized keys
-            order, starts = _groups(lambda: np.add.outer(*cells).ravel() if cells else _quantized_sum_keys(a, b))
-        plan = cls(None, order, starts, (a.shape[0], b.shape[0]), grid)
+        else:
+            order, starts, bounds = _bucket_groups(*(cells if cells is not None else (a, b)))
+        plan = cls(None, order, starts, (a.shape[0], b.shape[0]), grid, bounds)
         return replace(plan, points=plan.sum_points(a, b))
 
     def sum_points(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The canonical points of the plan ``of_sums(a, b)``: the sum at each group's first pair, frozen.
 
-        A plan that dropped its ``points`` makes them again from a and b with this one expression, bit for bit.
+        A plan that dropped its ``points`` makes them again from a and b, bit
+        for bit. A bucket's ranks give rows through the row of each of its
+        pairs in input order, and columns through each row's first.
         """
         first = self.order[self.starts]
-        if self.cells is None:
-            return _frozen(a[first // b.shape[0]] + b[first % b.shape[0]])
-        ca, cb, occupied = self.cells  # a factor's cells rise strictly, so a cell's place among them is its point's
-        return _frozen(a[np.searchsorted(ca, first)] + b[np.searchsorted(cb, occupied - first)])
+        if self.cells is not None:  # a factor's cells rise strictly, so a cell's place among them is its point's
+            ca, cb, occupied = self.cells
+            return _frozen(a[np.searchsorted(ca, first)] + b[np.searchsorted(cb, occupied - first)])
+        points = np.empty((first.shape[0], a.shape[1]))
+        groups = np.searchsorted(self.starts, self._firsts()).tolist()
+        for k, (g0, g1) in enumerate(zip(groups, groups[1:])):
+            lo = self.bounds[k]
+            counts = self.bounds[k + 1] - lo
+            rank = first[g0:g1].astype(np.intp)
+            row = np.repeat(np.arange(counts.shape[0], dtype=np.int32), counts)[rank]
+            column = rank - (np.cumsum(counts) - counts - lo)[row]
+            np.add(a[row], b[column], out=points[g0:g1])
+        return _frozen(points)
 
     @property
     def shape(self) -> tuple:
         """Shape of the points the plan merges: (N, m), or (N,) for a plan that keeps no ``points``."""
         total = math.prod(self.inputs)
         return (total,) if self.points is None else (total, self.points.shape[1])
+
+    def _firsts(self) -> np.ndarray:
+        """Where each bucket starts in the sorted order, then the pair count: the bounds' row sums."""
+        return self.bounds.sum(axis=1).astype(self.starts.dtype)
 
     def merge(self, weights: np.ndarray) -> np.ndarray:
         """Weights of ``points``: the (N,) input weights summed over each group.
@@ -343,7 +450,7 @@ class MergePlan:
     def merge_products(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """``merge`` of the products p_i q_j, flattened over (i, j), for the plan ``of_sums`` of their points.
 
-        The same products as ``np.outer(p, q)``, formed a block at a time.
+        The same products as ``np.outer(p, q)``, formed a block or a bucket at a time.
         """
         return self._reduce(p, q)
 
@@ -355,53 +462,62 @@ class MergePlan:
         the input at once. With ``order`` None a block is a slice of p;
         otherwise its values are gathered. A plan of row cells gathers p_i and
         q_j by row cell and column cell from the factors' weights laid over
-        their cells, once per call. A block's positions, rows and gathered
-        values go to three buffers made once per call, as long as its longest
-        block (longer than ``BLOCK`` when a group is), and a buffer whose
-        values are used takes the next ones. The positions are intp, which
-        numpy would otherwise make of the int32 or uint16 order at every
-        gather. Values of any other shape than the plan's inputs raise
-        ValueError (flat weights of a plan of sums too), so every gathered
-        index is in range.
+        their cells, once per call. A plan in buckets replays a bucket at a
+        time (no block crosses a bucket edge): the bucket's products in input
+        order, q gathered by column and p repeated by row a run of rows at a
+        time (``_runs``), go to a buffer as long as the longest bucket, and
+        each block gathers them by rank. A block's positions, rows and values
+        go to buffers made once per call, as long as its longest block (longer
+        than ``BLOCK`` when a group is). The positions are intp, which numpy
+        would otherwise make of the int32 or uint16 order at every gather.
+        Values of any other shape than the plan's inputs raise ValueError
+        (flat weights of a plan of sums too), so every gathered index is in
+        range.
         """
         self._check_lengths(p.shape[:1] if q is None else (p.shape[0], q.shape[0]))
         groups, total = self.starts.shape[0], math.prod(self.inputs)
-        # the first group to start in each run of BLOCK input positions (in starts' own type: no cast copy)
-        cuts = np.searchsorted(self.starts, np.arange(0, total, BLOCK, dtype=self.starts.dtype)).tolist()
+        # the first group to start in each run of BLOCK input positions, from each bucket's first if it has
+        # buckets (in starts' own type: no cast copy)
+        firsts = [0, total] if self.bounds is None else self._firsts().tolist()
+        edges = [np.arange(first, last, BLOCK, dtype=self.starts.dtype) for first, last in zip(firsts, firsts[1:])]
+        cuts = np.searchsorted(self.starts, np.concatenate(edges)).tolist()
+        if self.bounds is not None:
+            products, bucket = np.empty(max(np.diff(firsts))), -1
         # each block of whole groups, lo to hi, and the input positions it spans, first to last
         spans = [(lo, hi, int(self.starts[lo]), int(self.starts[hi]) if hi < groups else total)
                  for lo, hi in zip(cuts, cuts[1:] + [groups]) if lo < hi]
         width = max(last - first for _, _, first, last in spans)
         at_all = np.empty(width, dtype=np.intp)
         if self.order is not None:
-            row_all, values_all = np.empty(width, dtype=np.intp), np.empty(width)
+            values_all = np.empty(width)
         if self.cells is not None:
             ca, cb, occupied = self.cells
             sizes = np.diff(self.starts, append=total)
             p, q = _dense(ca, p), _dense(cb, q)  # each factor's weights at its cells, zero between them
+            row_all = np.empty(width, dtype=np.intp)
         out = np.empty(groups)
         for lo, hi, first, last in spans:
             if self.order is None:
                 values = p[first:last]
             else:
-                at, row, values = at_all[:last - first], row_all[:last - first], values_all[:last - first]
+                at, values = at_all[:last - first], values_all[:last - first]
                 if self.cells is not None:  # the row cells, and the column cells: their group's cell less them
+                    row = row_all[:last - first]
                     np.copyto(row, self.order[first:last])
                     np.subtract(np.repeat(occupied[lo:hi], sizes[lo:hi]), row, out=at)
-                else:
-                    np.copyto(at, self.order[first:last])
-                if q is None:
-                    np.take(p, at, out=values, mode="clip")  # in range: mode "raise" would write to a copy of out
-                else:
-                    if self.cells is None:  # the row i and the column j of each input position i * nb + j
-                        np.floor_divide(at, q.shape[0], out=row)
-                    np.take(p, row, out=values, mode="clip")
-                    if self.cells is None:
-                        row *= q.shape[0]
-                        at -= row  # the column: not at % q.shape[0], a slower integer division
+                    np.take(p, row, out=values, mode="clip")  # in range: mode "raise" would write to a copy of out
                     other = row.view(np.float64)  # the rows are used, so their buffer takes q's weights
                     np.take(q, at, out=other, mode="clip")
                     values *= other
+                else:
+                    np.copyto(at, self.order[first:last])
+                    if self.bounds is not None and first == firsts[bucket + 1]:  # the next bucket's products
+                        bucket += 1
+                        for start, rows, counts, columns in _runs(self.bounds[bucket], self.bounds[bucket + 1]):
+                            part = products[start:start + columns.shape[0]]
+                            np.take(q, columns, out=part, mode="clip")
+                            part *= np.repeat(p[rows], counts)
+                    np.take(p if self.bounds is None else products, at, out=values, mode="clip")
             offsets = at_all[:hi - lo]  # the positions, if any, are used too
             np.subtract(self.starts[lo:hi], first, out=offsets)
             np.add.reduceat(values, offsets, out=out[lo:hi])
@@ -612,20 +728,32 @@ def weighted_cov(weights, c) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def radon_nikodym(direction, base: FiniteMeasure) -> np.ndarray:
-    """Density dA/dP of a signed measure A with respect to P, per point of P.
+def continuous_weights(direction, base: FiniteMeasure) -> np.ndarray:
+    """Weights of a signed measure A given on the support of P, checked as ``radon_nikodym`` checks them.
 
-    A must be given on the support of P (the same points, zero weights where
-    A has no mass). Raises :class:`AbsoluteContinuityError` if it is given on
-    any other support, or has mass at a point where P has weight zero.
+    Raises :class:`AbsoluteContinuityError` if A is given on any other
+    support, or has mass at a point where P has weight zero.
     """
     if not np.array_equal(direction.points, base.points):
         raise AbsoluteContinuityError("signed measure is not given on the base support")
     num = np.asarray(direction.weights, dtype=float)
-    positive = base.weights > 0.0
-    if np.any(num[~positive] != 0.0):
+    if np.any(num[~(base.weights > 0.0)] != 0.0):
         raise AbsoluteContinuityError("signed measure has mass where the base weight is zero")
-    return np.divide(num, base.weights, out=np.zeros(base.size), where=positive)
+    return num
+
+
+def radon_nikodym(direction, base: FiniteMeasure) -> np.ndarray:
+    """Density dA/dP of a signed measure A with respect to P, per point of P: 0 where P has weight zero.
+
+    A must be given on the support of P (the same points, zero weights where
+    A has no mass); see ``continuous_weights`` for the errors.
+    """
+    return density(continuous_weights(direction, base), base.weights)
+
+
+def density(num: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """num / weights where a weight is positive, else 0: a density's values at the points of the weights."""
+    return np.divide(num, weights, out=np.zeros(weights.shape[0]), where=weights > 0.0)
 
 
 def almost_equal(m1, m2, tol: float = 1e-12) -> bool:

@@ -10,7 +10,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import infogeom.derived as derived
@@ -143,19 +143,21 @@ def test_nef_distribution_moments_quadrature(quadrature_families):
 def _count_routes(monkeypatch):
     """Record the input size of each plan built from quantized float keys ("build") or integer cells ("cells").
 
-    A plan of pairwise sums takes its quantized keys from ``measures._quantized_sum_keys``, not from
-    ``MergePlan.build``, so both count as "build", a sum plan by its number of pairs.
+    A plan of pairwise sums keys its quantized sums in ``measures._bucket_groups``, which is given the (N, m) float
+    points (and (N,) cells otherwise), not in ``MergePlan.build``, so both count as "build", a sum plan by its number
+    of pairs.
     """
     calls = {"build": [], "cells": []}
-    build, sum_cells, sum_keys = MergePlan.build, measures._sum_cells, measures._quantized_sum_keys
+    build, sum_cells, bucket_groups = MergePlan.build, measures._sum_cells, measures._bucket_groups
 
     def counting_build(points):
         calls["build"].append(len(points))
         return build(points)
 
-    def counting_sum_keys(a, b):
-        calls["build"].append(len(a) * len(b))
-        return sum_keys(a, b)
+    def counting_bucket_groups(a, b):
+        if a.ndim == 2:
+            calls["build"].append(len(a) * len(b))
+        return bucket_groups(a, b)
 
     def counting_cells(a, b):
         cells = sum_cells(a, b)
@@ -165,7 +167,7 @@ def _count_routes(monkeypatch):
 
     monkeypatch.setattr(MergePlan, "build", counting_build)
     monkeypatch.setattr(measures, "_sum_cells", counting_cells)
-    monkeypatch.setattr(measures, "_quantized_sum_keys", counting_sum_keys)
+    monkeypatch.setattr(measures, "_bucket_groups", counting_bucket_groups)
     return calls
 
 
@@ -199,12 +201,21 @@ def _pair_cells(a, b):
 def _effective_order(plan):
     """The plan's order as input positions, in the type of its starts.
 
-    A plan that keeps none (its input is in key order already) has the identity. A plan of row cells has, for the
+    A plan that keeps none (its input is in key order already) has the identity. A plan in buckets has, for each
+    pair's rank, the input position of its place among its bucket's pairs in input order: each row i's positions
+    i * nb + j from its column bound in the bucket up to the next bucket's. A plan of row cells has, for the
     pair of each row cell ca_i and its group's cell, the position i * nb + j of the column cell cb_j = cell - ca_i,
     each cell found among its factor's (IndexError or a failed assert if it is not there).
     """
     if plan.order is None:
         return np.arange(plan.shape[0], dtype=plan.starts.dtype)
+    if plan.bounds is not None:
+        nb, firsts, positions = plan.inputs[1], plan.bounds.sum(axis=1), []
+        for k, (lo, hi) in enumerate(zip(plan.bounds[:-1], plan.bounds[1:])):
+            bucket = np.concatenate([i * nb + np.arange(lo[i], hi[i]) for i in range(lo.shape[0])])
+            assert bucket.shape[0] == firsts[k + 1] - firsts[k]
+            positions.append(bucket[plan.order[firsts[k]:firsts[k + 1]].astype(np.int64)])
+        return np.concatenate(positions).astype(plan.starts.dtype)
     if plan.cells is None:
         return plan.order
     ca, cb, occupied = plan.cells
@@ -482,6 +493,93 @@ def test_row_cell_plans_are_the_quantized_plan(factors, block, seed):
     assert points.tobytes() == ref.points.tobytes() and points.shape == ref.points.shape
 
 
+# values a few ulps either side of these are 12-digit keys apart
+_ROUNDING_EDGES = (1.000000000005, -2.000000000005e-7, 123456.7890125)
+
+
+def _ulps(x, k):
+    """x moved k ulps up (k < 0: down)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+@st.composite
+def _bucket_factors(draw):
+    """Two factors whose sums are sorted in buckets, and whether b's first column decreases somewhere.
+
+    Quantized keys of one or two columns, from few values (long runs of equal keys, so thresholds fall on ties),
+    -0.0 beside 0.0 and values ulps apart across a 12-digit rounding edge; or integer points on a grid too wide for
+    uint16 cells. b's rows are sorted by their first column, and with `decreasing` two of them are swapped.
+    """
+    kind = draw(st.sampled_from(["quantized", "quantized-2", "wide-cells"]))
+    if kind == "wide-cells":
+        values = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 40_000.0, 70_000.0])
+    else:
+        edges = [_ulps(x, k) for x in _ROUNDING_EDGES for k in (-1, 0, 1)]
+        values = st.sampled_from([-0.0, 0.0, 0.25, -3.0, 2.5] + edges)
+    dim = 2 if kind == "quantized-2" else 1
+    a, b = (
+        np.array(draw(st.lists(st.tuples(*[values] * dim), min_size=1, max_size=size)), dtype=float)
+        for size in (8, 30)
+    )
+    b = b[np.argsort(b[:, 0], kind="stable")]
+    rises = np.flatnonzero(b[1:, 0] > b[:-1, 0])
+    decreasing = draw(st.booleans()) and rises.size > 0
+    if decreasing:
+        i = rises[0]
+        b[[i, i + 1]] = b[[i + 1, i]]
+    return a, b, decreasing
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bucket_factors(), st.sampled_from([1, 2, 3, 7, 64, 1 << 16]), st.integers(0, 2**32 - 1))
+@example(  # a threshold on a run of equal keys that crosses rows, with -0.0 sums leading their runs
+    (np.array([[-0.0], [0.25], [-0.0]]), np.array([[-0.0], [0.0], [0.0], [0.25], [0.25], [2.5]]), False), 4, 0
+)
+@example((np.array([[0.25], [2.5]]), np.array([[0.25], [-3.0], [2.5]]), True), 2, 1)  # b decreases: one bucket
+# wide integer cells in buckets of one to two pairs
+@example((np.array([[0.0], [70_000.0]]), np.array([[-0.0], [1.0], [40_000.0], [70_000.0]]), False), 2, 2)
+def test_bucket_plans_are_the_stable_sort(factors, block, seed):
+    # a plan in buckets of about `block` // 2 pairs, decoded to input positions, is the global stable sort's order
+    # and starts, and its replays and points are the global sort's bit for bit
+    a, b, decreasing = factors
+    assume(not _counted(a, b))  # uint16 cells of strictly increasing factors are placed row by row
+    rng = np.random.default_rng(seed)
+    p, q = rng.random(a.shape[0]) / 3.0, rng.random(b.shape[0]) / 7.0
+    ref = _quantized_plan(a, b)
+    with mock.patch.object(measures, "BLOCK", block):
+        plan = MergePlan.of_sums(a, b)
+        merged = plan.merge_products(p, q)
+        points = replace(plan, points=None).sum_points(a, b)
+    assert plan.cells is None and _plans_equal(plan, ref)
+    products = np.outer(p, q).ravel()[_effective_order(ref)]
+    assert merged.tobytes() == np.add.reduceat(products, ref.starts).tobytes()
+    assert points.tobytes() == ref.points.tobytes() and points.shape == ref.points.shape
+    bounds = plan.bounds
+    assert np.all(bounds[0] == 0) and np.all(bounds[-1] == b.shape[0]) and np.all(np.diff(bounds, axis=0) >= 0)
+    sizes = np.diff(bounds.sum(axis=1))
+    assert np.all(sizes > 0)
+    several = sizes.shape[0] > 1
+    assert plan.order.dtype == (np.uint16 if several and sizes.max() <= 65_536 else np.int32)
+    if decreasing or not several:  # one bucket: its ranks are the input positions of the global sort
+        assert not several and np.array_equal(plan.order, _effective_order(ref))
+
+
+def test_a_run_longer_than_a_uint16_rank_keeps_int32_ranks():
+    # 150,000 pairs in two runs of equal keys, 75,000 pairs each: two buckets, each longer than a uint16 rank and
+    # than a replay block, keyed and replayed in runs of whole rows
+    a = np.full((300, 1), 0.5)
+    b = np.repeat([[0.5], [1.5]], 250, axis=0)
+    p, q = np.linspace(0.5, 1.0, 300) / 300.0, np.linspace(2.0, 1.0, 500) / 500.0
+    plan, ref = MergePlan.of_sums(a, b), _quantized_plan(a, b)
+    assert np.diff(plan.bounds.sum(axis=1)).tolist() == [75_000, 75_000] and plan.order.dtype == np.int32
+    assert _plans_equal(plan, ref)
+    products = np.outer(p, q).ravel()[_effective_order(ref)]
+    assert plan.merge_products(p, q).tobytes() == np.add.reduceat(products, ref.starts).tobytes()
+    assert replace(plan, points=None).sum_points(a, b).tobytes() == ref.points.tobytes()
+
+
 def test_a_plan_merges_only_weights_of_its_input_points():
     # a plan of sums merges the products of its factors' weights alone: flat weights raise, even of the right count
     plan = MergePlan.of_sums(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0], [2.0]]))
@@ -497,17 +595,6 @@ def test_a_plan_merges_only_weights_of_its_input_points():
     ):
         with pytest.raises(ValueError, match=r"^weights must be given at each input point of the plan$"):
             merge()
-
-
-# values a few ulps either side of these are 12-digit keys apart
-_ROUNDING_EDGES = (1.000000000005, -2.000000000005e-7, 123456.7890125)
-
-
-def _ulps(x, k):
-    """x moved k ulps up (k < 0: down)."""
-    for _ in range(abs(k)):
-        x = float(np.nextafter(x, math.copysign(math.inf, k)))
-    return x
 
 
 @st.composite
@@ -612,6 +699,15 @@ def _sum_step_costs(key, n, monkeypatch):
     return {pairs: cost for pairs, cost in per_pair.items() if pairs >= 2**20}
 
 
+@pytest.mark.parametrize("key", ["gauss_known_var", "exponential_dist"])
+def test_quadrature_q3_sum_steps_keep_one_bucket_of_keys(key, monkeypatch):
+    # Q_3's sum step (4.06M and 4.08M pairs) peaked at 17.3 bytes per pair with the float keys, lexsort order and
+    # group mask of all its pairs; in buckets it holds their uint16 ranks, starts and canonical points, and one
+    # bucket's keys
+    large = _sum_step_costs(key, 3, monkeypatch)
+    assert all(cost < 10.0 for cost in large.values()), large
+
+
 @pytest.mark.parametrize("key, n", [("binomial", 1024), ("categorical", 128)])
 def test_uint16_sum_steps_keep_no_int64_index_per_pair(key, n, monkeypatch):
     # the high-n lattice ladders' sum steps of 2^20 pairs and more (up to 4.6M) sort uint16 cells: an int64
@@ -661,8 +757,9 @@ def test_integer_cells_take_the_narrowest_type_and_never_wrap(top, dtype):
 )
 def test_uint16_cells_of_canonical_factors_are_placed_without_a_sort(top, counted, monkeypatch):
     # 30 pairs: uint16 cells of canonical factors are placed row by row, with no sort at all, and wider cells, or
-    # factors with a repeated point, by one argsort of them all. The canonical factors, 15 and 2 points, span the
-    # same grid as the 5 and 6 points that repeat some
+    # factors with a repeated point, in one bucket by one argsort of them all (the spies do not see the in-place
+    # sort of the sample its thresholds come from). The canonical factors, 15 and 2 points, span the same grid as the
+    # 5 and 6 points that repeat some
     repeated = (
         np.array([[0.0] * len(top), [1.0] * len(top), [2.0] * len(top), [1.0] * len(top), top]),
         np.array([[v] * len(top) for v in (0.0, -0.0, 1.0, 0.0, 1.0, 0.0)]),
@@ -747,11 +844,12 @@ def test_sums_without_points_make_them_again_bitwise_cold(key, params, later):
 
 
 def test_store_plans_of_a_quadrature_q3_keep_no_sum_points():
-    # the plans of gauss Q_3 took 49.1 MB while the (1, 2) plan kept its 1.35M canonical sums (10.8 MB)
+    # the plans of gauss Q_3 took 49.1 MB while the (1, 2) plan kept its 1.35M canonical sums (10.8 MB), and 38.3 MB
+    # with an int32 position per pair; a uint16 rank per pair in buckets, and the buckets' bounds, take 30.3 MB
     f = make_family("gauss_known_var")
     nef_distribution(f, f.theta_grid[0], 3)
-    arrays = [a for plan in derived._store.plans.values() for a in (plan.points, plan.order, plan.starts)]
-    assert sum(a.nbytes for a in arrays if a is not None) < 39e6
+    arrays = [a for plan in derived._store.plans.values() for a in (plan.points, plan.order, plan.starts, plan.bounds)]
+    assert sum(a.nbytes for a in arrays if a is not None) < 31.5e6
 
 
 def test_store_plans_of_a_binomial_q1024_keep_row_cells():
@@ -879,13 +977,13 @@ def test_directions_share_the_q_n_support(families, monkeypatch):
     pair = nef_tangent(f, u, 4)
     assert pair.direction.points is pair.base.points
     shared = []
-    original = geometry.radon_nikodym
+    original = geometry.continuous_weights  # the invariant form checks both directions as radon_nikodym does
 
     def recording(direction, base):
         shared.append(direction.points is base.points)
         return original(direction, base)
 
-    monkeypatch.setattr(geometry, "radon_nikodym", recording)
+    monkeypatch.setattr(geometry, "continuous_weights", recording)
     check_A2(f, u, v, 4)
     assert shared == [True, True]
 

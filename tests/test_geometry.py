@@ -1,13 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import infogeom.geometry as geometry
+
 from infogeom.derived import AffineMap, standardizing_map
 from infogeom.derived import nef_distribution
-from infogeom.errors import BasePointMismatchError
+from infogeom.errors import AbsoluteContinuityError, BasePointMismatchError
 from infogeom.expfam import TangentCoord, fisher_information, model_tangent
 from infogeom.geometry import (
     FISHER,
@@ -20,7 +23,7 @@ from infogeom.geometry import (
     scaled_norm_functional,
     sinusoidal_fisher_field,
 )
-from infogeom.measures import FiniteMeasure, push_forward
+from infogeom.measures import FiniteMeasure, SignedFiniteMeasure, TangentPair, push_forward, radon_nikodym
 
 
 def test_metric_eval_identity_field():
@@ -167,3 +170,68 @@ def test_eval_takes_linear_coefficients():
     assert h.eval(p, [1.0, 0.0]) == h.eval_values(p, [1.0, 3.0]) == math.sqrt(5.0)
     with pytest.raises(ValueError):
         h.eval(p, [1.0, 2.0, 3.0])
+
+
+@st.composite
+def _tangent_pairs(draw):
+    """A base with some zero weights and two directions on its support, zero where it is, each of total mass 0."""
+    size = draw(st.integers(2, 40))
+    base = FiniteMeasure(np.arange(size, dtype=float), draw(st.lists(st.sampled_from([0.0, 0.25, 1e-3, 0.5, 3.0]),
+                                                                        min_size=size, max_size=size)))
+    has_mass = base.weights > 0.0
+    directions = []
+    for _ in range(2):
+        raw = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size))) * has_mass
+        positive = np.flatnonzero(has_mass)
+        if positive.size:  # total mass 0: the first positive point takes the rest
+            raw[positive[0]] -= np.sum(raw)
+        directions.append(TangentPair(base, SignedFiniteMeasure(base.support, raw)))
+    return directions
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tangent_pairs(), st.sampled_from([1, 2, 3, 7, 1 << 16]))
+def test_invariant_form_in_blocks_is_the_whole_array_expression(pairs, block):
+    # w (dA/dP)(dB/dP) written a block at a time into one array and summed whole: the bits of the whole-array form
+    pair_u, pair_v = pairs
+    product = pair_u.base.weights * radon_nikodym(pair_u.direction, pair_u.base)
+    product *= radon_nikodym(pair_v.direction, pair_u.base)
+    with mock.patch.object(geometry, "BLOCK", block):
+        assert invariant_form(pair_u, pair_v) == float(np.sum(product))
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 16])
+def test_invariant_form_checks_both_directions(block):
+    base = FiniteMeasure([0.0, 1.0, 2.0], [0.5, 0.0, 0.5])
+    fine = TangentPair(base, SignedFiniteMeasure(base.support, [1.0, 0.0, -1.0]))
+    mass_off = TangentPair(base, SignedFiniteMeasure(base.support, [0.5, 0.5, -1.0]))  # mass where P has none
+    other = FiniteMeasure([0.0, 1.0, 3.0], [0.5, 0.0, 0.5])
+    elsewhere = TangentPair(other, SignedFiniteMeasure(other.support, [1.0, 0.0, -1.0]))  # another support
+    with mock.patch.object(geometry, "BLOCK", block):
+        assert invariant_form(fine, fine) == 4.0
+        for bad in (mass_off, elsewhere):
+            for first, second in ((fine, bad), (bad, fine)):
+                with pytest.raises(AbsoluteContinuityError):
+                    invariant_form(first, second)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 4.0)), min_size=1, max_size=40),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([1, 2, 3, 7, 1 << 16]),
+)
+def test_fisher_eval_in_place_is_the_expression(rows, coeff, block):
+    # (w v) v formed in the values eval builds, a block at a time: the bits of sqrt(sum(w * v * v)), and the
+    # l1-perturbed and scaled functionals read their values before the Fisher part overwrites them
+    points, weights = zip(*rows)
+    base = FiniteMeasure(np.array(points)[:, None], np.array(weights))
+    w, v = base.weights, base.points @ np.array([coeff])
+    fisher = math.sqrt(float(np.sum(w * v * v)))
+    l1 = FISHER.finite_fn(w, v.copy()) + 0.1 * float(np.sum(w * np.abs(v)))
+    values = v.copy()
+    with mock.patch.object(geometry, "BLOCK", block):
+        assert FISHER.eval(base, [coeff]) == FISHER.eval_values(base, values) == fisher
+        assert np.array_equal(values, v)  # eval_values gives finite_fn a copy
+        assert l1_perturbed_norm_functional(0.1).eval(base, [coeff]) == l1
+        assert scaled_norm_functional(FISHER, 3.0).eval(base, [coeff]) == 3.0 * fisher
