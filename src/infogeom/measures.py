@@ -26,27 +26,32 @@ keeps a uint16 row cell per pair. Any other sums are sorted in buckets of
 about ``BLOCK // 2`` pairs, split by thresholds on the key of the first
 coordinate (``_bucket_groups``): only one bucket's keys exist at a time,
 and the plan keeps a pair's rank in its bucket, uint16 when every bucket
-holds at most 65,536 pairs. (N, 1) points that never decrease are not
-sorted at all: quantization is monotone, so their keys never decrease
-either, and a stable sort of them is the identity. ``MergePlan.build`` then
-keeps no ``order``, and a merge sums the weights where they lie. Every 1/n
+holds at most 65,536 pairs, and each group's start in its bucket in the
+ranks' type. (N, 1) points that never decrease are not sorted at all:
+quantization is monotone, so their keys never decrease either, and a stable
+sort of them is the identity. ``MergePlan.build`` then keeps no ``order``,
+only the ``joins``, the points whose key equals the one before; a merge
+drops them from the weights and sums the few groups they join. Every 1/n
 rescale of a canonical 1-D support and every push-forward of one by an
-increasing affine map is such a list.
+increasing affine map is such a list, and joins at most about a hundred of
+Q_3's 1.35M points.
 
 Canonicalization works in blocks of ``BLOCK`` points: ``quantize``, the key
 comparisons that find where groups start, the keys of a bucket of pairwise
 sums (a run of whole rows at a time) and the merges of a plan (whole groups
-gathered, or sliced where they lie, and summed together; the weight products
-of a sum step formed a block or a bucket at a time, the same products in the
-same order). Only elementwise work, ``reduceat`` over whole groups and
-``max`` are split, because each gives the same bits in blocks. ``np.sum``
-and float ``cumsum`` keep their whole operand arrays, because their rounding
-depends on the whole array; a matmul keeps its shape, because a different
+gathered and summed together; the weight products of a sum step formed a
+block or a bucket at a time, the same products in the same order; and the
+weights of an identity-order plan compacted past its joins). Only
+elementwise work, ``reduceat`` over whole groups and ``max`` are split,
+because each gives the same bits in blocks. ``np.sum`` and float
+``cumsum`` keep their whole operand arrays, because their rounding depends
+on the whole array; a matmul keeps its shape, because a different
 shape can round differently. So the (pairs, m) array of the sums and a
 weight per pair are never made: of the arrays as long as the list of pairs,
 only the plan's ``order`` stays, and a plan of one bucket holds its keys
 for a while. ``quantize`` and the merges keep a block's temporaries in
-buffers made once per call and written with ``out=``: that moves where a
+buffers made once per call and written with ``out=`` (but the positions
+``_without`` takes a block's kept rows at, made per block): that moves where a
 value is written, not how it is computed, and the blocks stay the same runs
 of input in the same order, so no bit moves.
 """
@@ -134,6 +139,27 @@ def _fresh(keys: np.ndarray, order: Optional[np.ndarray]) -> np.ndarray:
         change = k[1:] != k[:-1]
         fresh[start:start + BLOCK] = change if change.ndim == 1 else np.any(change, axis=1)
     return fresh
+
+
+def _without(x: np.ndarray, joins: np.ndarray) -> np.ndarray:
+    """The rows of x but those at the rising positions ``joins``, compacted a block at a time.
+
+    A block's kept rows are taken at the places a block-long mask holds
+    true, its joins cleared in the mask and set again after.
+    """
+    out = np.empty((x.shape[0] - joins.shape[0],) + x.shape[1:])
+    keep = np.ones(min(BLOCK, x.shape[0]), dtype=bool)
+    cuts = np.searchsorted(joins, np.arange(0, x.shape[0] + BLOCK, BLOCK)).tolist()  # the joins of each block
+    at = 0
+    for start, j0, j1 in zip(range(0, x.shape[0], BLOCK), cuts, cuts[1:]):
+        block, local = x[start:start + BLOCK], joins[j0:j1] - start
+        mask = keep[:block.shape[0]]
+        mask[local] = False
+        n = block.shape[0] - local.shape[0]
+        np.take(block, np.flatnonzero(mask), axis=0, out=out[at:at + n], mode="clip")  # in range, as in merge_products
+        mask[local] = True
+        at += n
+    return out
 
 
 def _sum_cells(a: np.ndarray, b: np.ndarray):
@@ -267,18 +293,19 @@ def _bucket_groups(a: np.ndarray, b: np.ndarray):
     bucket's pairs in input order: uint16 when there are several buckets
     and none holds more than 65,536 pairs, else int32 (below 2**31 pairs).
     The ranks of one bucket are the input positions, the order of ``build``.
+    A group keeps its start among its bucket's sorted pairs, in the ranks'
+    type: each bucket's first group starts at 0, and no other group does.
     """
     bounds = _bucket_bounds(a, b)
     pairs = a.shape[0] * b.shape[0]
-    index = _index_type(pairs)
     firsts = bounds.sum(axis=1).tolist()  # where each bucket starts in the sorted order
     sizes = np.diff(firsts)
-    order = np.empty(pairs, dtype=np.uint16 if sizes.shape[0] > 1 and sizes.max() <= 65_536 else index)
+    order = np.empty(pairs, dtype=np.uint16 if sizes.shape[0] > 1 and sizes.max() <= 65_536 else _index_type(pairs))
     starts = []
     for k, first in enumerate(firsts[:-1]):
         ranks, fresh = _groups(lambda: _bucket_keys(a, b, bounds[k], bounds[k + 1]))
         order[first:first + ranks.shape[0]] = ranks
-        starts.append(np.add(fresh, first, dtype=index))
+        starts.append(fresh.astype(order.dtype))
     return _frozen(order), _frozen(np.concatenate(starts)), _frozen(bounds)
 
 
@@ -339,21 +366,25 @@ class MergePlan:
     p_i q_j, by ``merge_products``): the float work of a fresh
     canonicalization, in the same order, so a measure built from a plan is
     bitwise identical to one built from the points. (N, 1) points that never
-    decrease are in key order already: their plan keeps ``order`` None and
-    merges the weights where they lie. A plan with ``starts`` None too keeps
-    points that are canonical already; ``support`` of a measure gives one. Pass a plan as the
-    ``points`` of a measure to build it without sorting. A plan of sums that
-    no measure is built on may keep ``points`` None: it still merges, and
-    ``sum_points`` makes the points again from the two factors'. A plan of
-    sums keeps no position i * nb + j. Placed row by row, it keeps in
-    ``order`` the uint16 row cell ca_i of each pair, and in ``cells`` the
-    factors' cells ca and cb and the cell of each group; the pair's column
-    cell cb_j is its group's cell less ca_i, and a cell's place among its
-    factor's is the point's. Sorted in buckets, it keeps in ``order`` each
-    pair's rank in its bucket, and in ``bounds`` each row's first column in
-    each bucket (``_bucket_bounds``): a rank is a place among the bucket's
-    pairs in input order, and a bucket starts in the sorted order at the sum
-    of its bounds. Every other plan keeps ``cells`` and ``bounds`` None.
+    decrease are in key order already: their plan keeps ``order`` and
+    ``starts`` None, and in ``joins`` the input positions whose key equals
+    the one before (int32 below 2**31 points); its points are the input's
+    without them. A plan with no joins keeps ``joins`` None: it is the plan
+    ``canonical`` gives of points that are canonical already, as ``support``
+    of a measure does. Pass a plan as the ``points`` of a measure to build
+    it without sorting. A plan of sums that no measure is built on may keep
+    ``points`` None: it still merges, and ``sum_points`` makes the points
+    again from the two factors'. A plan of sums keeps no position i * nb +
+    j. Placed row by row, it keeps in ``order`` the uint16 row cell ca_i of
+    each pair, and in ``cells`` the factors' cells ca and cb and the cell of
+    each group; the pair's column cell cb_j is its group's cell less ca_i,
+    and a cell's place among its factor's is the point's. Sorted in buckets, it keeps in ``order`` each
+    pair's rank in its bucket, in ``starts`` each group's start among its
+    bucket's sorted pairs, in the ranks' type, and in ``bounds`` each row's
+    first column in each bucket (``_bucket_bounds``): a rank is a place among
+    the bucket's pairs in input order, and a bucket starts in the sorted
+    order at the sum of its bounds. Every other plan keeps ``cells`` and
+    ``bounds`` None, and counts as one bucket.
     """
 
     points: np.ndarray
@@ -362,9 +393,16 @@ class MergePlan:
     inputs: tuple
     cells: Optional[tuple] = None
     bounds: Optional[np.ndarray] = None
+    joins: Optional[np.ndarray] = None
+
+    @classmethod
+    def canonical(cls, points: np.ndarray) -> "MergePlan":
+        """Plan of (N, m) points that are canonical already: it merges no two, so ``merge`` keeps the weights."""
+        return cls(points, None, None, points.shape[:1])
 
     @classmethod
     def build(cls, points) -> "MergePlan":
+        """Plan of (N, m) points sorted by their quantized keys; (N, 1) points that never decrease stay in order."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
@@ -375,8 +413,9 @@ class MergePlan:
         if not np.all(np.isfinite(pts)):
             raise ValueError("points and weights must be finite")
         if pts.shape[1] == 1 and _nondecreasing(pts[:, 0]):
-            starts = _frozen(np.flatnonzero(_fresh(quantize(pts[:, 0]), None)).astype(_index_type(pts.shape[0])))
-            return cls(_frozen(pts[starts]), None, starts, pts.shape[:1])
+            joins = _frozen(np.flatnonzero(~_fresh(quantize(pts[:, 0]), None)).astype(_index_type(pts.shape[0])))
+            kept = _frozen(_without(pts, joins))
+            return cls(kept, None, None, pts.shape[:1], joins=joins) if joins.shape[0] else cls.canonical(kept)
         order, starts = _groups(lambda: quantize(pts))
         return cls(_frozen(pts[order[starts]]), order, starts, pts.shape[:1])
 
@@ -404,19 +443,21 @@ class MergePlan:
         """The canonical points of the plan ``of_sums(a, b)``: the sum at each group's first pair, frozen.
 
         A plan that dropped its ``points`` makes them again from a and b, bit
-        for bit. A bucket's ranks give rows through the row of each of its
-        pairs in input order, and columns through each row's first.
+        for bit. A bucket's groups read their first ranks in ``order`` at the
+        bucket's first position plus their starts; the ranks give rows through
+        the row of each of the bucket's pairs in input order, and columns
+        through each row's first.
         """
-        first = self.order[self.starts]
         if self.cells is not None:  # a factor's cells rise strictly, so a cell's place among them is its point's
             ca, cb, occupied = self.cells
+            first = self.order[self.starts]
             return _frozen(a[np.searchsorted(ca, first)] + b[np.searchsorted(cb, occupied - first)])
-        points = np.empty((first.shape[0], a.shape[1]))
-        groups = np.searchsorted(self.starts, self._firsts()).tolist()
-        for k, (g0, g1) in enumerate(zip(groups, groups[1:])):
+        points = np.empty((self.starts.shape[0], a.shape[1]))
+        heads, firsts = self._buckets()
+        for k, (g0, g1) in enumerate(zip(heads, heads[1:])):
             lo = self.bounds[k]
             counts = self.bounds[k + 1] - lo
-            rank = first[g0:g1].astype(np.intp)
+            rank = self.order[self.starts[g0:g1].astype(np.intp) + firsts[k]].astype(np.intp)
             row = np.repeat(np.arange(counts.shape[0], dtype=np.int32), counts)[rank]
             column = rank - (np.cumsum(counts) - counts - lo)[row]
             np.add(a[row], b[column], out=points[g0:g1])
@@ -428,24 +469,44 @@ class MergePlan:
         total = math.prod(self.inputs)
         return (total,) if self.points is None else (total, self.points.shape[1])
 
-    def _firsts(self) -> np.ndarray:
-        """Where each bucket starts in the sorted order, then the pair count: the bounds' row sums."""
-        return self.bounds.sum(axis=1).astype(self.starts.dtype)
+    def _buckets(self):
+        """Each bucket's first group, then the group count, and each bucket's first position, then the input count.
+
+        A bucket's first group starts at 0 among its pairs, and no other group
+        does. A plan without buckets is one bucket.
+        """
+        groups = self.starts.shape[0]
+        heads = [at + g for at in range(0, groups, BLOCK) for g in np.flatnonzero(self.starts[at:at + BLOCK] == 0)]
+        heads.append(groups)
+        return heads, [0, math.prod(self.inputs)] if self.bounds is None else self.bounds.sum(axis=1).tolist()
 
     def merge(self, weights: np.ndarray) -> np.ndarray:
         """Weights of ``points``: the (N,) input weights summed over each group.
 
-        With ``starts`` None they are the weights themselves: a read-only
-        float64 array that owns its data is returned as it is, any other is
-        copied and frozen. Weights of any other shape than the plan's inputs
+        With no ``joins`` and no ``order`` they are the weights themselves: a
+        read-only float64 array that owns its data is returned as it is, any
+        other is copied and frozen. With ``joins`` they are the weights without
+        the joins, but for each group a run of joins merges, whose sum is one
+        ``np.add.reduceat`` over the groups' (first, end) pairs, every other
+        result: each group's sum depends on its own values alone, as in the
+        sort's ``reduceat``. Weights of any other shape than the plan's inputs
         raise ValueError, as ``_reduce`` raises: so do a plan of sums' flat
         weights, whose merge is ``merge_products``.
         """
         w = np.asarray(weights, dtype=float)
-        if self.starts is None:
-            self._check_lengths(w.shape[:1])
+        if self.order is not None:
+            return self._reduce(w)
+        self._check_lengths(w.shape[:1])
+        if self.joins is None:
             return w if w.flags.owndata and not w.flags.writeable else _frozen(w.copy())
-        return self._reduce(w)
+        heads = np.flatnonzero(np.diff(self.joins, prepend=-2) != 1)  # each run of joins' first, among the joins
+        firsts = self.joins[heads] - 1
+        ends = self.joins[np.append(heads[1:], self.joins.shape[0]) - 1] + 1
+        edges = np.stack([firsts, ends], axis=1).reshape(-1)
+        sums = np.add.reduceat(w, edges[:-1] if ends[-1] == w.shape[0] else edges)[::2]
+        out = _without(w, self.joins)
+        out[firsts - heads] = sums
+        return _frozen(out)
 
     def merge_products(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """``merge`` of the products p_i q_j, flattened over (i, j), for the plan ``of_sums`` of their points.
@@ -459,10 +520,11 @@ class MergePlan:
 
         Whole groups are summed (``reduceat``) a block of about ``BLOCK``
         input positions at a time, so each group's sum is the one over all
-        the input at once. With ``order`` None a block is a slice of p;
-        otherwise its values are gathered. A plan of row cells gathers p_i and
-        q_j by row cell and column cell from the factors' weights laid over
-        their cells, once per call. A plan in buckets replays a bucket at a
+        the input at once. The blocks are found one bucket at a time, from
+        the group starts in it (a plan without buckets is one), and their
+        values are gathered. A plan of row cells gathers p_i and q_j by row
+        cell and column cell from the factors' weights laid over their
+        cells, once per call. A plan in buckets replays a bucket at a
         time (no block crosses a bucket edge): the bucket's products in input
         order, q gathered by column and p repeated by row a run of rows at a
         time (``_runs``), go to a buffer as long as the longest bucket, and
@@ -475,51 +537,44 @@ class MergePlan:
         range.
         """
         self._check_lengths(p.shape[:1] if q is None else (p.shape[0], q.shape[0]))
-        groups, total = self.starts.shape[0], math.prod(self.inputs)
-        # the first group to start in each run of BLOCK input positions, from each bucket's first if it has
-        # buckets (in starts' own type: no cast copy)
-        firsts = [0, total] if self.bounds is None else self._firsts().tolist()
-        edges = [np.arange(first, last, BLOCK, dtype=self.starts.dtype) for first, last in zip(firsts, firsts[1:])]
-        cuts = np.searchsorted(self.starts, np.concatenate(edges)).tolist()
+        heads, firsts = self._buckets()
+        spans = []  # each block of whole groups, lo to hi, and the sorted positions it spans, first to last
+        for g0, g1, f0, f1 in zip(heads, heads[1:], firsts, firsts[1:]):
+            starts = self.starts[g0:g1]  # the first group to start in each run of BLOCK positions of the bucket
+            cuts = (np.searchsorted(starts, np.arange(0, f1 - f0, BLOCK, dtype=starts.dtype)) + g0).tolist()
+            spans += [(lo, hi, f0 + int(self.starts[lo]), f0 + int(self.starts[hi]) if hi < g1 else f1)
+                      for lo, hi in zip(cuts, cuts[1:] + [g1]) if lo < hi]
         if self.bounds is not None:
             products, bucket = np.empty(max(np.diff(firsts))), -1
-        # each block of whole groups, lo to hi, and the input positions it spans, first to last
-        spans = [(lo, hi, int(self.starts[lo]), int(self.starts[hi]) if hi < groups else total)
-                 for lo, hi in zip(cuts, cuts[1:] + [groups]) if lo < hi]
         width = max(last - first for _, _, first, last in spans)
-        at_all = np.empty(width, dtype=np.intp)
-        if self.order is not None:
-            values_all = np.empty(width)
+        at_all, values_all = np.empty(width, dtype=np.intp), np.empty(width)
         if self.cells is not None:
             ca, cb, occupied = self.cells
-            sizes = np.diff(self.starts, append=total)
+            sizes = np.diff(self.starts, append=firsts[-1])
             p, q = _dense(ca, p), _dense(cb, q)  # each factor's weights at its cells, zero between them
             row_all = np.empty(width, dtype=np.intp)
-        out = np.empty(groups)
+        out = np.empty(self.starts.shape[0])
         for lo, hi, first, last in spans:
-            if self.order is None:
-                values = p[first:last]
+            at, values = at_all[:last - first], values_all[:last - first]
+            if self.cells is not None:  # the row cells, and the column cells: their group's cell less them
+                row = row_all[:last - first]
+                np.copyto(row, self.order[first:last])
+                np.subtract(np.repeat(occupied[lo:hi], sizes[lo:hi]), row, out=at)
+                np.take(p, row, out=values, mode="clip")  # in range: mode "raise" would write to a copy of out
+                other = row.view(np.float64)  # the rows are used, so their buffer takes q's weights
+                np.take(q, at, out=other, mode="clip")
+                values *= other
             else:
-                at, values = at_all[:last - first], values_all[:last - first]
-                if self.cells is not None:  # the row cells, and the column cells: their group's cell less them
-                    row = row_all[:last - first]
-                    np.copyto(row, self.order[first:last])
-                    np.subtract(np.repeat(occupied[lo:hi], sizes[lo:hi]), row, out=at)
-                    np.take(p, row, out=values, mode="clip")  # in range: mode "raise" would write to a copy of out
-                    other = row.view(np.float64)  # the rows are used, so their buffer takes q's weights
-                    np.take(q, at, out=other, mode="clip")
-                    values *= other
-                else:
-                    np.copyto(at, self.order[first:last])
-                    if self.bounds is not None and first == firsts[bucket + 1]:  # the next bucket's products
-                        bucket += 1
-                        for start, rows, counts, columns in _runs(self.bounds[bucket], self.bounds[bucket + 1]):
-                            part = products[start:start + columns.shape[0]]
-                            np.take(q, columns, out=part, mode="clip")
-                            part *= np.repeat(p[rows], counts)
-                    np.take(p if self.bounds is None else products, at, out=values, mode="clip")
-            offsets = at_all[:hi - lo]  # the positions, if any, are used too
-            np.subtract(self.starts[lo:hi], first, out=offsets)
+                np.copyto(at, self.order[first:last])
+                if self.bounds is not None and first == firsts[bucket + 1]:  # the next bucket's products
+                    bucket += 1
+                    for start, rows, counts, columns in _runs(self.bounds[bucket], self.bounds[bucket + 1]):
+                        part = products[start:start + columns.shape[0]]
+                        np.take(q, columns, out=part, mode="clip")
+                        part *= np.repeat(p[rows], counts)
+                np.take(p if self.bounds is None else products, at, out=values, mode="clip")
+            offsets = at_all[:hi - lo]  # the positions are used too
+            np.subtract(self.starts[lo:hi], self.starts[lo], out=offsets)
             np.add.reduceat(values, offsets, out=out[lo:hi])
         return _frozen(out)
 
@@ -578,7 +633,7 @@ class SignedFiniteMeasure:
     @property
     def support(self) -> MergePlan:
         """Plan of this (canonical) support: a measure built on it shares ``points`` and skips the sort."""
-        return MergePlan(self.points, None, None, self.points.shape[:1])
+        return MergePlan.canonical(self.points)
 
 
 @dataclass(frozen=True, eq=False)

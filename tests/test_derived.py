@@ -199,7 +199,7 @@ def _pair_cells(a, b):
 
 
 def _effective_order(plan):
-    """The plan's order as input positions, in the type of its starts.
+    """The plan's order as input positions, int32 (below 2**31 inputs).
 
     A plan that keeps none (its input is in key order already) has the identity. A plan in buckets has, for each
     pair's rank, the input position of its place among its bucket's pairs in input order: each row i's positions
@@ -207,15 +207,16 @@ def _effective_order(plan):
     pair of each row cell ca_i and its group's cell, the position i * nb + j of the column cell cb_j = cell - ca_i,
     each cell found among its factor's (IndexError or a failed assert if it is not there).
     """
+    index = measures._index_type(plan.shape[0])
     if plan.order is None:
-        return np.arange(plan.shape[0], dtype=plan.starts.dtype)
+        return np.arange(plan.shape[0], dtype=index)
     if plan.bounds is not None:
         nb, firsts, positions = plan.inputs[1], plan.bounds.sum(axis=1), []
         for k, (lo, hi) in enumerate(zip(plan.bounds[:-1], plan.bounds[1:])):
             bucket = np.concatenate([i * nb + np.arange(lo[i], hi[i]) for i in range(lo.shape[0])])
             assert bucket.shape[0] == firsts[k + 1] - firsts[k]
             positions.append(bucket[plan.order[firsts[k]:firsts[k + 1]].astype(np.int64)])
-        return np.concatenate(positions).astype(plan.starts.dtype)
+        return np.concatenate(positions).astype(index)
     if plan.cells is None:
         return plan.order
     ca, cb, occupied = plan.cells
@@ -223,26 +224,53 @@ def _effective_order(plan):
     column = np.repeat(occupied, np.diff(plan.starts, append=row.shape[0])).astype(np.int64) - row
     i, j = np.searchsorted(ca, row), np.searchsorted(cb, column)
     assert np.array_equal(ca[i], row) and np.array_equal(cb[j], column)
-    return (i * cb.shape[0] + j).astype(plan.starts.dtype)
+    return (i * cb.shape[0] + j).astype(index)
+
+
+def _effective_starts(plan):
+    """Where each of the plan's groups starts among its sorted input positions, int32 (below 2**31 inputs).
+
+    An identity-order plan starts a group at every input position but its joins. A plan in buckets keeps each
+    group's start among its bucket's pairs: each bucket's first group starts at 0, no other group does, and the
+    bucket starts at the sum of its bounds.
+    """
+    index = measures._index_type(plan.shape[0])
+    if plan.order is None:
+        positions = np.arange(plan.shape[0], dtype=index)
+        return positions if plan.joins is None else np.delete(positions, plan.joins)
+    if plan.bounds is None:
+        return plan.starts
+    heads = plan.starts == 0
+    firsts = plan.bounds.sum(axis=1)
+    assert np.count_nonzero(heads) == firsts.shape[0] - 1
+    return (plan.starts.astype(np.int64) + firsts[np.cumsum(heads) - 1]).astype(index)
 
 
 def _plans_equal(plan, ref):
-    """Bitwise equality of two merge plans, -0.0 told apart from 0.0, and of their effective orders.
+    """Bitwise equality of two merge plans, -0.0 told apart from 0.0, and of their effective orders and starts.
 
     A plan of row cells keeps them as uint16, beside strictly increasing uint16 factor cells and its groups' cells.
+    A plan in buckets keeps its groups' starts in its ranks' type. An identity-order plan keeps no starts, and its
+    joins, if any, as int32 positions that rise strictly; a plan with none keeps ``joins`` None.
     """
     if plan.cells is not None:
         ca, cb, occupied = plan.cells
         assert plan.order.dtype == ca.dtype == cb.dtype == occupied.dtype == np.uint16
         assert np.all(ca[1:] > ca[:-1]) and np.all(cb[1:] > cb[:-1]) and occupied.shape == plan.starts.shape
+    if plan.bounds is not None:
+        assert plan.starts.dtype == plan.order.dtype
+    if plan.order is None:
+        joins = plan.joins
+        assert plan.starts is None and (joins is None or (joins.dtype == np.int32 and np.all(np.diff(joins) > 0)))
+        assert joins is None or (joins.shape[0] > 0 and joins[0] > 0)
     return (
         plan.points.tobytes() == ref.points.tobytes()
         and plan.points.shape == ref.points.shape
         and plan.shape == ref.shape
         and _effective_order(plan).dtype == _effective_order(ref).dtype
         and np.array_equal(_effective_order(plan), _effective_order(ref))
-        and plan.starts.dtype == ref.starts.dtype
-        and np.array_equal(plan.starts, ref.starts)
+        and _effective_starts(plan).dtype == _effective_starts(ref).dtype
+        and np.array_equal(_effective_starts(plan), _effective_starts(ref))
     )
 
 
@@ -396,12 +424,13 @@ def test_blocks_change_no_bits(block, dim, lattice):
         ref_plan = _quantized_plan(a, b)
         cells = _pair_cells(a, b)
         assert (cells.dtype == np.uint16) if lattice else (cells is None)
-        last = np.append(ref_plan.starts[1:], sums.shape[0]) - 1
-        assert np.any(ref_plan.starts // block < last // block)  # a group straddles a block edge
+        ref_starts = _effective_starts(ref_plan)
+        last = np.append(ref_starts[1:], sums.shape[0]) - 1
+        assert np.any(ref_starts // block < last // block)  # a group straddles a block edge
         negative_zero = (ref_plan.points == 0.0) & np.signbit(ref_plan.points)
         # -0.0 sums, +0.0 keys
         assert np.any(negative_zero) and not np.any((ref_keys == 0.0) & np.signbit(ref_keys))
-        ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[_effective_order(ref_plan)], ref_plan.starts)
+        ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[_effective_order(ref_plan)], ref_starts)
 
         with mock.patch.object(measures, "BLOCK", block):
             assert quantize(sums).tobytes() == ref_keys.tobytes()
@@ -442,9 +471,10 @@ def test_counted_blocks_change_no_bits(a, b, canonical, long_rows, block):
         p = np.linspace(0.5, 2.0, a.shape[0]) / 3.0
         q = np.linspace(1.0, 0.25, b.shape[0]) / 7.0
         ref_plan = _quantized_plan(a, b)
-        ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[_effective_order(ref_plan)], ref_plan.starts)
+        ref_starts = _effective_starts(ref_plan)
+        ref_merge = np.add.reduceat(np.outer(p, q).reshape(-1)[_effective_order(ref_plan)], ref_starts)
         assert _pair_cells(a, b).dtype == np.uint16 and _counted(a, b) == counted
-        longest = np.max(np.diff(np.append(ref_plan.starts, pairs)))
+        longest = np.max(np.diff(np.append(ref_starts, pairs)))
         assert b.shape[0] > block if long_rows else longest > 3 * block
 
         with mock.patch.object(measures, "BLOCK", block):
@@ -554,14 +584,19 @@ def test_bucket_plans_are_the_stable_sort(factors, block, seed):
         points = replace(plan, points=None).sum_points(a, b)
     assert plan.cells is None and _plans_equal(plan, ref)
     products = np.outer(p, q).ravel()[_effective_order(ref)]
-    assert merged.tobytes() == np.add.reduceat(products, ref.starts).tobytes()
+    assert merged.tobytes() == np.add.reduceat(products, _effective_starts(ref)).tobytes()
     assert points.tobytes() == ref.points.tobytes() and points.shape == ref.points.shape
     bounds = plan.bounds
     assert np.all(bounds[0] == 0) and np.all(bounds[-1] == b.shape[0]) and np.all(np.diff(bounds, axis=0) >= 0)
     sizes = np.diff(bounds.sum(axis=1))
     assert np.all(sizes > 0)
     several = sizes.shape[0] > 1
-    assert plan.order.dtype == (np.uint16 if several and sizes.max() <= 65_536 else np.int32)
+    assert plan.order.dtype == plan.starts.dtype == (np.uint16 if several and sizes.max() <= 65_536 else np.int32)
+    # each bucket's groups start at 0 among its pairs, rise, and start before its end
+    heads = np.append(np.flatnonzero(plan.starts == 0), plan.starts.shape[0])
+    assert heads.shape[0] == sizes.shape[0] + 1
+    for (g0, g1), size in zip(zip(heads, heads[1:]), sizes):
+        assert np.all(np.diff(plan.starts[g0:g1].astype(np.int64)) > 0) and plan.starts[g1 - 1] < size
     if decreasing or not several:  # one bucket: its ranks are the input positions of the global sort
         assert not several and np.array_equal(plan.order, _effective_order(ref))
 
@@ -576,7 +611,7 @@ def test_a_run_longer_than_a_uint16_rank_keeps_int32_ranks():
     assert np.diff(plan.bounds.sum(axis=1)).tolist() == [75_000, 75_000] and plan.order.dtype == np.int32
     assert _plans_equal(plan, ref)
     products = np.outer(p, q).ravel()[_effective_order(ref)]
-    assert plan.merge_products(p, q).tobytes() == np.add.reduceat(products, ref.starts).tobytes()
+    assert plan.merge_products(p, q).tobytes() == np.add.reduceat(products, _effective_starts(ref)).tobytes()
     assert replace(plan, points=None).sum_points(a, b).tobytes() == ref.points.tobytes()
 
 
@@ -591,7 +626,8 @@ def test_a_plan_merges_only_weights_of_its_input_points():
         lambda: repeated.merge(np.ones(6)),  # int32 input positions
         lambda: plan.merge_products(np.ones(2), np.ones(2)),
         lambda: plan.merge_products(np.ones(3), np.ones(2)),  # 6 products, but of factors in swapped lengths
-        lambda: FiniteMeasure([0, 1, 2], np.ones(3) / 3).support.merge(np.ones(5)),  # a plan with no starts
+        lambda: FiniteMeasure([0, 1, 2], np.ones(3) / 3).support.merge(np.ones(5)),  # a plan with no joins
+        lambda: MergePlan.build([0.0, 0.0, 1.0]).merge(np.ones(2)),  # one join: 2 points, but 3 inputs
     ):
         with pytest.raises(ValueError, match=r"^weights must be given at each input point of the plan$"):
             merge()
@@ -601,15 +637,20 @@ def test_a_plan_merges_only_weights_of_its_input_points():
 def _nondecreasing_values(draw):
     """Nondecreasing (N,) values: runs of equal values, values ulps apart across a rounding edge, -0.0 by 0.0."""
     anchors = st.sampled_from((-0.0, 0.0, 0.25, -3.0) + _ROUNDING_EDGES)
-    runs = draw(st.lists(st.tuples(anchors, st.integers(-3, 3), st.integers(1, 4)), min_size=1, max_size=30))
+    runs = draw(st.lists(st.tuples(anchors, st.integers(-3, 3), st.integers(1, 80)), min_size=1, max_size=30))
     return np.array(sorted(_ulps(x, k) for x, k, run in runs for _ in range(run)))  # stable: -0.0, 0.0 stay
 
 
-@settings(max_examples=200, deadline=None)
-@given(_nondecreasing_values(), st.sampled_from([1, 2, 3, 7, 1 << 16]))
+@settings(max_examples=300, deadline=None)
+@given(_nondecreasing_values(), st.sampled_from([1, 2, 3, 5, 7, 128, 1 << 16]))
 @example(np.array([-0.0, 0.0, -0.0] + [_ulps(_ROUNDING_EDGES[0], k) for k in (-2, -1, -1, 1, 2, 2)]), 2)
+@example(np.array([0.25] * 9), 1)  # all points in one group, which ends at the last point
+@example(np.array([-3.0, 0.25, 0.25, 0.25, 1.0, 1.0]), 1 << 16)  # two groups joined, one at the last point
+@example(np.array([-0.0] * 70 + [0.0] * 70 + [0.25] * 3), 1 << 16)  # 141 joins in one block, -0.0 beside 0.0
+@example(np.array([_ulps(_ROUNDING_EDGES[1], k) for k in range(-4, 5)]), 3)  # no two keys equal: no joins
 def test_nondecreasing_1d_points_keep_no_order(values, block):
-    # the identity-order plan against the sort of the same quantized keys, in blocks of `block` points
+    # the identity-order plan, in blocks of `block` points, against the sort route of the same quantized keys: its
+    # points (the input without its joins) and its merges, of contiguous and strided weights, bit for bit
     points = values.reshape(-1, 1)
     order, starts = measures._groups(lambda: quantize(points))
     ref = MergePlan(points[order[starts]], order, starts, points.shape[:1])
@@ -619,7 +660,9 @@ def test_nondecreasing_1d_points_keep_no_order(values, block):
         plan = MergePlan.build(values)
         merged, strided = plan.merge(weights), plan.merge(np.repeat(weights, 2)[::2])
     assert plan.order is None and _plans_equal(plan, ref)
+    assert (plan.joins is None) == (starts.shape[0] == points.shape[0])
     assert merged.tobytes() == ref_merge.tobytes() and strided.tobytes() == ref_merge.tobytes()
+    assert not merged.flags.writeable and not plan.points.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -844,12 +887,46 @@ def test_sums_without_points_make_them_again_bitwise_cold(key, params, later):
 
 
 def test_store_plans_of_a_quadrature_q3_keep_no_sum_points():
-    # the plans of gauss Q_3 took 49.1 MB while the (1, 2) plan kept its 1.35M canonical sums (10.8 MB), and 38.3 MB
-    # with an int32 position per pair; a uint16 rank per pair in buckets, and the buckets' bounds, take 30.3 MB
+    # the plans of gauss Q_3 took 49.1 MB while the (1, 2) plan kept its 1.35M canonical sums (10.8 MB), 38.3 MB
+    # with an int32 position per pair, and 30.3 MB with a uint16 rank per pair in buckets and the buckets' bounds;
+    # uint16 group starts in each bucket, and the 1/3 rescale's 97 joins in place of an int32 start per point, take
+    # 22.1 MB
     f = make_family("gauss_known_var")
     nef_distribution(f, f.theta_grid[0], 3)
-    arrays = [a for plan in derived._store.plans.values() for a in (plan.points, plan.order, plan.starts, plan.bounds)]
-    assert sum(a.nbytes for a in arrays if a is not None) < 31.5e6
+    plans = derived._store.plans.values()
+    arrays = [a for plan in plans for a in (plan.points, plan.order, plan.starts, plan.bounds, plan.joins)]
+    assert sum(a.nbytes for a in arrays if a is not None) < 23e6
+
+
+@pytest.mark.parametrize("key", ["gauss_known_var", "exponential_dist"])
+def test_identity_plans_of_a_standardized_q3_keep_only_their_joins(key):
+    # the standardized push-forward of Q_3 (1.35M and 1.37M points) never decreases, and joins 24 and 1 of its
+    # points at this theta. Its plan kept an int32 start per point beside its points (12 bytes a point) and peaked
+    # at 12.05 bytes a point to build; it keeps its points and its joins, and a merge makes only the merged weights
+    f = make_family(key)
+    theta = f.theta_grid[2]
+    qn = nef_distribution(f, theta, 3)
+    points = standardizing_map(f, theta, 3)(qn.points)
+    count = points.shape[0]
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        plan = MergePlan.build(points)
+        kept, build_peak = (size - live for size in tracemalloc.get_traced_memory())
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        merged = plan.merge(qn.weights)
+        merge_peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert plan.order is None and plan.starts is None
+    assert plan.joins.shape[0] == (24 if key == "gauss_known_var" else 1)
+    assert build_peak < 9.5 * count and kept <= 8 * count + plan.joins.nbytes + 4096  # and a few object headers
+    assert merge_peak < 8.5 * count
+    order, starts = measures._groups(lambda: quantize(points))
+    assert plan.points.tobytes() == points[order[starts]].tobytes()
+    assert merged.tobytes() == np.add.reduceat(qn.weights[order], starts).tobytes()
 
 
 def test_store_plans_of_a_binomial_q1024_keep_row_cells():
